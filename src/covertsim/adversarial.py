@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import propagate, propagate_adjoint
+from .channel import doppler_rotate, propagate, propagate_adjoint, sample_taps
+from .detection import pd_at_target_pf
 from .neuralnet import (
     AdamState,
     DenseNet,
@@ -23,7 +24,7 @@ from .neuralnet import (
     log_clamped,
     mse_loss,
 )
-from .numerics import DomainError, RngStream, from_reim, to_reim
+from .numerics import DomainError, RngStream, from_reim, sample_awgn, to_reim
 from .scenarios import ScenarioPreset
 
 _CLAMP = 1e-7
@@ -49,6 +50,8 @@ class GeneratorSpec:
             raise DomainError("message_bits, noise_dim and n must be positive")
         if self.power <= 0:
             raise DomainError(f"power budget must be > 0, got {self.power}")
+        if not (0.0 <= self.dropout < 1.0):
+            raise DomainError(f"dropout must be in [0,1), got {self.dropout}")
 
 
 @dataclass
@@ -65,7 +68,6 @@ class TrainConfig:
     snapshot_trials: int = 512
     train_snr_db: float = 20.0
     target_pf: float = 0.1
-    epsilon: float = 0.1
 
     def __post_init__(self):
         if self.iterations < 1 or self.batch < 1:
@@ -230,49 +232,38 @@ def signal_gradient_to_generator(system: System, grad_s: np.ndarray, aux):
 # channel sampling for training batches
 # ---------------------------------------------------------------------------
 
-def _doppler_phase(scenario: ScenarioPreset, n: int, slots: np.ndarray) -> np.ndarray:
-    t = slots * n * scenario.symbol_duration
-    return np.exp(2j * np.pi * scenario.doppler_hz * t)
+def sample_latents(spec: GeneratorSpec, gen: np.random.Generator, count: int):
+    """Draw (count, bits) +-1 messages and (count, noise_dim) generator latents."""
+    m = np.sign(gen.standard_normal((count, spec.message_bits)) + 1e-12)
+    return m, gen.standard_normal((count, spec.noise_dim))
 
 
 def sample_warden_taps(scenario: ScenarioPreset, batch: int, gen: np.random.Generator,
                        slots: np.ndarray | None = None, n: int = 0) -> np.ndarray:
-    """Draw (K, batch, L) warden tap gains, optionally cross-warden correlated."""
-    corr = scenario.warden_config(0).correlation()
-    factor = np.linalg.cholesky(corr.entries)
+    """Draw (K, batch, L) warden tap gains, optionally cross-warden correlated.
 
-    def draw():
-        w = gen.standard_normal((batch, scenario.n_taps)) \
-            + 1j * gen.standard_normal((batch, scenario.n_taps))
-        return (w / np.sqrt(2.0)) @ factor.T
-
+    With slot indices given, row j is Doppler-rotated to the start time of
+    slot slots[j] (n symbols per slot); mixing precedes the rotation.
+    """
+    cfg = scenario.warden_config(0)
     if scenario.correlated_wardens:
-        shared = draw()
-        mix = scenario.warden_mix
-        taps = np.stack([np.sqrt(mix) * shared + np.sqrt(1.0 - mix) * draw()
+        shared = np.sqrt(scenario.warden_mix) * sample_taps(cfg, gen, batch)
+        own = np.sqrt(1.0 - scenario.warden_mix)
+        taps = np.stack([shared + own * sample_taps(cfg, gen, batch)
                          for _ in range(scenario.k)])
     else:
-        taps = np.stack([draw() for _ in range(scenario.k)])
+        taps = np.stack([sample_taps(cfg, gen, batch) for _ in range(scenario.k)])
     if slots is not None:
-        taps = taps * _doppler_phase(scenario, n, slots)[None, :, None]
+        taps = doppler_rotate(taps, slots * n * scenario.symbol_duration, scenario.doppler_hz)
     return taps
 
 
 def sample_bob_taps(scenario: ScenarioPreset, batch: int, gen: np.random.Generator,
                     slots: np.ndarray | None = None, n: int = 0) -> np.ndarray:
-    corr = scenario.warden_config(0).correlation()
-    factor = np.linalg.cholesky(corr.entries)
-    w = gen.standard_normal((batch, scenario.n_taps)) \
-        + 1j * gen.standard_normal((batch, scenario.n_taps))
-    taps = (w / np.sqrt(2.0)) @ factor.T
-    if slots is not None:
-        taps = taps * _doppler_phase(scenario, n, slots)[:, None]
-    return taps
-
-
-def _cgn(gen: np.random.Generator, shape, variance: float) -> np.ndarray:
-    return np.sqrt(variance / 2.0) * (gen.standard_normal(shape)
-                                      + 1j * gen.standard_normal(shape))
+    """Draw (batch, L) Bob tap gains, Doppler-rotated per slot as for the wardens."""
+    t = None if slots is None else slots * n * scenario.symbol_duration
+    # the tap draw does not depend on the noise variance
+    return sample_taps(scenario.bob_config(noise_variance=1.0), gen, batch, t)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +346,92 @@ def wasserstein_losses(system: System, noise_batch: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# Monte Carlo detection and BER
+# ---------------------------------------------------------------------------
+
+@dataclass
+class WardenMetrics:
+    pd: float
+    pf: float
+    pd_lrt: float
+    degenerate: bool = False
+
+
+def csr_from_detections(detected: np.ndarray) -> float:
+    """CSR from a (K, trials) boolean detection matrix: the fraction of
+    cases where no warden's detection indicator fires."""
+    detected = np.atleast_2d(np.asarray(detected, dtype=bool))
+    return float(np.mean(~np.any(detected, axis=0)))
+
+
+def warden_detection(system: System, s: np.ndarray, gen: np.random.Generator,
+                     calib: int, target_pf: float = 0.1):
+    """Per-warden detection of the signal batch s; returns (list[WardenMetrics], csr).
+
+    Each learned discriminator is thresholded at the target false-alarm
+    rate on calib fresh H0 slots; pd_lrt is the genie-LRT bound on the
+    same H1 cases. Taps, H1 noise and H0 noise are drawn from gen in
+    that order, warden by warden.
+    """
+    scen = system.scenario
+    trials, n = s.shape
+    taps = sample_warden_taps(scen, trials, gen)
+    detected = np.zeros((scen.k, trials), dtype=bool)
+    out = []
+    for i, disc in enumerate(system.discriminators):
+        sigma2 = scen.warden_sigma2[i]
+        x1 = propagate(s, taps[i])
+        y1 = x1 + sample_awgn(n, sigma2, gen, count=trials)
+        y0 = sample_awgn(n, sigma2, gen, count=calib)
+        out1 = disc.forward(to_reim(y1))[0][:, 0]
+        out0 = disc.forward(to_reim(y0))[0][:, 0]
+        thr = np.quantile(out0, target_pf)
+        detected[i] = out1 < thr
+        ex = np.sum(np.abs(x1) ** 2, axis=1)
+        out.append(WardenMetrics(pd=float(np.mean(detected[i])),
+                                 pf=float(np.mean(out0 < thr)),
+                                 pd_lrt=float(np.mean(pd_at_target_pf(ex, sigma2, target_pf))),
+                                 degenerate=bool(np.std(out0) < 1e-9)))
+    return out, csr_from_detections(detected)
+
+
+def decode_ber(system: System, s: np.ndarray, m: np.ndarray, sigma2: float,
+               gen: np.random.Generator) -> float:
+    """Bit error rate of Bob's decoder on s (carrying m) at noise variance sigma2."""
+    taps = sample_bob_taps(system.scenario, s.shape[0], gen)
+    y_b = propagate(s, taps) + sample_awgn(s.shape[1], sigma2, gen, count=s.shape[0])
+    m_hat = system.decoder.forward(decoder_input(y_b, taps))[0]
+    return float(np.mean(np.sign(m_hat + 1e-12) != m))
+
+
+def snapshot_metrics(system: System, rng: RngStream, trials: int = 512,
+                     calib: int = 2000, target_pf: float = 0.1) -> dict:
+    """Quick eval-mode metrics: learned-warden pd/CSR, genie pd, BER.
+
+    Learned-warden decisions come from per-discriminator thresholds
+    calibrated on fresh H0 samples at the target false-alarm rate; CSR is
+    the fraction of H1 cases no warden flags.
+    """
+    gen = rng.generator()
+    m, z = sample_latents(system.gen_spec, gen, trials)
+    s, _ = generate_signal(system, m, z)
+    wardens, csr = warden_detection(system, s, gen, calib, target_pf)
+    pd_learned = [w.pd for w in wardens]
+    pd_lrt = [w.pd_lrt for w in wardens]
+    return {
+        "csr": csr,
+        "ber": decode_ber(system, s, m, system.bob_sigma2, gen),
+        "pd_learned": pd_learned,
+        "pf_learned": [w.pf for w in wardens],
+        "pd_lrt": pd_lrt,
+        "mean_pd_learned": float(np.mean(pd_learned)),
+        "mean_pd_lrt": float(np.mean(pd_lrt)),
+        "mean_signal_energy": float(np.mean(np.sum(np.abs(s) ** 2, axis=1))),
+        "trials": trials,
+    }
+
+
+# ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
 
@@ -381,59 +458,6 @@ def _disc_update(disc: DenseNet, adam: AdamState, y0: np.ndarray, y1: np.ndarray
     p0 = np.clip(out[:b0], _CLAMP, 1 - _CLAMP)
     p1 = np.clip(out[b0:], _CLAMP, 1 - _CLAMP)
     return float(np.mean(np.log(p0)) + np.mean(np.log(1 - p1)))
-
-
-def snapshot_metrics(system: System, rng: RngStream, trials: int = 512,
-                     calib: int = 2000, target_pf: float = 0.1,
-                     epsilon: float = 0.1) -> dict:
-    """Quick eval-mode metrics: learned-warden pd/CSR, genie pd, BER.
-
-    Learned-warden decisions come from per-discriminator thresholds
-    calibrated on fresh H0 samples at the target false-alarm rate; CSR is
-    the fraction of H1 cases no warden flags.
-    """
-    gen = rng.generator()
-    spec = system.gen_spec
-    scen = system.scenario
-    m = np.sign(gen.standard_normal((trials, spec.message_bits)) + 1e-12)
-    z = gen.standard_normal((trials, spec.noise_dim))
-    s, _ = generate_signal(system, m, z)
-    taps = sample_warden_taps(scen, trials, gen)
-    detected = np.zeros((scen.k, trials), dtype=bool)
-    pd_learned = []
-    pf_learned = []
-    pd_lrt = []
-    from .detection import pd_at_target_pf  # local import avoids a cycle
-    for i, disc in enumerate(system.discriminators):
-        sigma2 = scen.warden_sigma2[i]
-        x1 = propagate(s, taps[i])
-        y1 = x1 + _cgn(gen, s.shape, sigma2)
-        y0 = _cgn(gen, (calib, spec.n), sigma2)
-        out1 = disc.forward(to_reim(y1))[0][:, 0]
-        out0 = disc.forward(to_reim(y0))[0][:, 0]
-        thr = np.quantile(out0, target_pf)
-        detected[i] = out1 < thr
-        pd_learned.append(float(np.mean(detected[i])))
-        pf_learned.append(float(np.mean(out0 < thr)))
-        ex = np.sum(np.abs(x1) ** 2, axis=1)
-        pd_lrt.append(float(np.mean(pd_at_target_pf(ex, sigma2, target_pf))))
-    csr = float(np.mean(~np.any(detected, axis=0)))
-
-    bob_taps = sample_bob_taps(scen, trials, gen)
-    y_b = propagate(s, bob_taps) + _cgn(gen, s.shape, system.bob_sigma2)
-    m_hat = system.decoder.forward(decoder_input(y_b, bob_taps))[0]
-    ber = float(np.mean(np.sign(m_hat + 1e-12) != m))
-    return {
-        "csr": csr,
-        "ber": ber,
-        "pd_learned": pd_learned,
-        "pf_learned": pf_learned,
-        "pd_lrt": pd_lrt,
-        "mean_pd_learned": float(np.mean(pd_learned)),
-        "mean_pd_lrt": float(np.mean(pd_lrt)),
-        "mean_signal_energy": float(np.mean(np.sum(np.abs(s) ** 2, axis=1))),
-        "trials": trials,
-    }
 
 
 def train(cfg: TrainConfig, scenario: ScenarioPreset, rng: RngStream,
@@ -463,22 +487,20 @@ def train(cfg: TrainConfig, scenario: ScenarioPreset, rng: RngStream,
               for d in system.discriminators]
 
     spec = system.gen_spec
-    k = scenario.k
     slot = 0
 
     def sample_round(batch):
         nonlocal slot
-        m = np.sign(gen.standard_normal((batch, spec.message_bits)) + 1e-12)
-        z = gen.standard_normal((batch, spec.noise_dim))
+        m, z = sample_latents(spec, gen, batch)
         slots = np.arange(slot, slot + batch, dtype=float)
         slot += batch
         w_taps = sample_warden_taps(scenario, batch, gen, slots, spec.n)
-        w_noise = np.stack([_cgn(gen, (batch, spec.n), scenario.warden_sigma2[i])
-                            for i in range(k)])
-        w_noise0 = np.stack([_cgn(gen, (batch, spec.n), scenario.warden_sigma2[i])
-                             for i in range(k)])
+        w_noise = np.stack([sample_awgn(spec.n, v, gen, count=batch)
+                            for v in scenario.warden_sigma2])
+        w_noise0 = np.stack([sample_awgn(spec.n, v, gen, count=batch)
+                             for v in scenario.warden_sigma2])
         b_taps = sample_bob_taps(scenario, batch, gen, slots, spec.n)
-        b_noise = _cgn(gen, (batch, spec.n), system.bob_sigma2)
+        b_noise = sample_awgn(spec.n, system.bob_sigma2, gen, count=batch)
         return m, z, w_taps, w_noise, w_noise0, b_taps, b_noise
 
     # discriminator warm-up so the first CSR snapshot reflects trained wardens
@@ -492,7 +514,7 @@ def train(cfg: TrainConfig, scenario: ScenarioPreset, rng: RngStream,
     snap_rng = rng.child(200)
     if cfg.snapshot_every:
         snap = snapshot_metrics(system, snap_rng.child(0), trials=cfg.snapshot_trials,
-                                target_pf=cfg.target_pf, epsilon=cfg.epsilon)
+                                target_pf=cfg.target_pf)
         snap["iteration"] = 0
         log.snapshots.append(snap)
 
@@ -525,7 +547,7 @@ def train(cfg: TrainConfig, scenario: ScenarioPreset, rng: RngStream,
         if cfg.snapshot_every and it % cfg.snapshot_every == 0:
             snap = snapshot_metrics(system, snap_rng.child(it),
                                     trials=cfg.snapshot_trials,
-                                    target_pf=cfg.target_pf, epsilon=cfg.epsilon)
+                                    target_pf=cfg.target_pf)
             snap["iteration"] = it
             log.snapshots.append(snap)
 
@@ -562,13 +584,13 @@ def adaptive_warden_loop(system: System, rng: RngStream, period: int = 1000,
     adams = [AdamState(d.param_count(), lr=lr, beta1=0.5) for d in wardens]
     metric = np.zeros(total)
     for it in range(total):
-        m = np.sign(gen.standard_normal((batch, spec.message_bits)) + 1e-12)
-        z = gen.standard_normal((batch, spec.noise_dim))
+        m, z = sample_latents(spec, gen, batch)
         s, _ = generate_signal(system, m, z)
         taps = sample_warden_taps(scen, batch, gen)
         vals = []
         for i, disc in enumerate(wardens):
-            y1 = propagate(s, taps[i]) + _cgn(gen, s.shape, scen.warden_sigma2[i])
+            y1 = propagate(s, taps[i]) + sample_awgn(spec.n, scen.warden_sigma2[i], gen,
+                                                     count=batch)
             vals.append(float(np.mean(disc.forward(to_reim(y1))[0])))
             buffers[i].append(y1)
         metric[it] = np.mean(vals)
@@ -578,7 +600,7 @@ def adaptive_warden_loop(system: System, rng: RngStream, period: int = 1000,
                 for _ in range(retrain_steps):
                     pick = gen.integers(0, seen.shape[0], size=min(64, seen.shape[0]))
                     y1 = seen[pick] * np.exp(2j * np.pi * gen.random((pick.size, 1)))
-                    y0 = _cgn(gen, y1.shape, scen.warden_sigma2[i])
+                    y0 = sample_awgn(spec.n, scen.warden_sigma2[i], gen, count=pick.size)
                     _disc_update(disc, adams[i], y0, y1, system.loss_mode, 0.05, gen)
                 buffers[i] = [seen]
     return metric

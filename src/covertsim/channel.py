@@ -8,7 +8,7 @@ tap delays the signal by l samples).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .numerics import (
     CorrelationMatrix,
     DomainError,
     RngStream,
-    sample_awgn,
     sample_correlated_cgn,
 )
 
@@ -47,56 +46,35 @@ class ChannelConfig:
         return CorrelationMatrix(self.n_taps, self.rho)
 
 
-@dataclass
-class TapSet:
-    """Base tap gains for one slot, Doppler-rotated on demand."""
+def sample_taps(cfg: ChannelConfig, rng: RngStream | np.random.Generator, count: int,
+                t: np.ndarray | None = None) -> np.ndarray:
+    """Draw (count, L) correlated unit-mean-power tap gains.
 
-    base_taps: np.ndarray
-    doppler_hz: float = 0.0
-
-    def tap_at(self, t: float) -> np.ndarray:
-        return doppler_rotate(self.base_taps, t, self.doppler_hz)
-
-
-@dataclass
-class ReceivedSlot:
-    """One received slot with its hypothesis label.
-
-    effective_x (the noise-free received signal) is kept only under H1;
-    it is what a genie warden would correlate against.
+    With per-row slot start times t, row i is Doppler-rotated to t[i].
     """
-
-    y: np.ndarray
-    hypothesis: str
-    effective_x: np.ndarray | None = field(default=None)
+    taps = sample_correlated_cgn(cfg.correlation(), rng, count=count)
+    return taps if t is None else doppler_rotate(taps, t, cfg.doppler_hz)
 
 
-def sample_taps(cfg: ChannelConfig, rng: RngStream | np.random.Generator,
-                count: int | None = None) -> TapSet | np.ndarray:
-    """Draw correlated unit-mean-power tap gains.
+def doppler_rotate(base_taps: np.ndarray, t, doppler_hz: float) -> np.ndarray:
+    """Rotate taps by exp(j 2 pi f_d t); magnitudes are untouched.
 
-    With count=None returns a TapSet for a single slot; with an integer
-    count returns a (count, L) array of base taps for batched use.
+    A scalar t rotates every tap; an array t rotates row i of base_taps
+    (leading axes broadcast) by the phase at t[i].
     """
-    draws = 1 if count is None else count
-    taps = sample_correlated_cgn(cfg.correlation(), rng, count=draws)
-    if count is None:
-        return TapSet(taps[0], cfg.doppler_hz)
-    return taps
-
-
-def doppler_rotate(base_taps: np.ndarray, t: float, doppler_hz: float) -> np.ndarray:
-    """Rotate every tap by exp(j 2 pi f_d t); magnitudes are untouched."""
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise DomainError(f"time must be >= 0, got {t}")
-    return base_taps * np.exp(2j * np.pi * doppler_hz * t)
+    return base_taps * np.exp(2j * np.pi * doppler_hz * t)[..., None]
 
 
 def propagate(s: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Apply the multipath channel: out[k] = sum_l h_l s[k-l], zero-prefixed.
 
-    Supports batched input: s (B, N) with taps (B, L) or (L,).
+    Supports batched input: s (B, N) with taps (B, L) or (L,); a 1-D s
+    gives a 1-D result, a (1, N) batch stays (1, N).
     """
+    squeeze = np.ndim(s) == 1
     s = np.atleast_2d(s)
     taps = np.atleast_2d(taps)
     batch, n = s.shape
@@ -108,7 +86,7 @@ def propagate(s: np.ndarray, taps: np.ndarray) -> np.ndarray:
     out = np.zeros_like(s)
     for l in range(n_taps):
         out[:, l:] += taps[:, l:l + 1] * s[:, :n - l]
-    return out[0] if batch == 1 and out.shape[0] == 1 else out
+    return out[0] if squeeze else out
 
 
 def propagate_adjoint(grad_y: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -127,18 +105,3 @@ def propagate_adjoint(grad_y: np.ndarray, taps: np.ndarray) -> np.ndarray:
     for l in range(n_taps):
         out[:, :n - l] += np.conj(taps[:, l:l + 1]) * grad_y[:, l:]
     return out
-
-
-def receive(s: np.ndarray | None, taps: TapSet, t: float, cfg: ChannelConfig,
-            rng: RngStream | np.random.Generator, n: int | None = None) -> ReceivedSlot:
-    """Produce one received slot under H1 (s given) or H0 (s is None)."""
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    if s is None:
-        if n is None:
-            raise DomainError("slot length n is required for an H0 (noise-only) slot")
-        noise = sample_awgn(n, cfg.noise_variance, gen)
-        return ReceivedSlot(y=noise, hypothesis="H0")
-    s = np.asarray(s)
-    x = propagate(s, taps.tap_at(t))
-    noise = sample_awgn(len(s), cfg.noise_variance, gen)
-    return ReceivedSlot(y=x + noise, hypothesis="H1", effective_x=x)

@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, scenarios
-from .adversarial import GeneratorSpec, System, TrainConfig, adaptive_warden_loop, build_system, train
+from .adversarial import ConfigError, GeneratorSpec, System, TrainConfig, build_system, train
 from .neuralnet import load_checkpoint, save_checkpoint
-from .numerics import RngStream
+from .numerics import DomainError, RngStream
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -68,19 +68,17 @@ class RunConfig:
 
     trials: int = 10000
     target_pf: float = 0.1
-    epsilon: float = 0.1
     eval_snr_db: float = 20.0
 
     seed: int = 0
-    workers: int = 1
 
     _SECTIONS = {
         "scenario": ("scenario", "k", "sigma2", "rho", "doppler_hz", "n_taps"),
         "generator": ("message_bits", "noise_dim", "n", "power_dbm", "hidden", "dropout"),
         "train": ("iterations", "batch", "lr", "mu", "loss_mode", "clip",
                   "disc_warmup", "snapshot_every", "snapshot_trials", "train_snr_db"),
-        "eval": ("trials", "target_pf", "epsilon", "eval_snr_db"),
-        "run": ("seed", "workers"),
+        "eval": ("trials", "target_pf", "eval_snr_db"),
+        "run": ("seed",),
     }
 
     @property
@@ -88,14 +86,16 @@ class RunConfig:
         return 10.0 ** (self.power_dbm / 10.0)
 
     def validate(self) -> None:
-        if self.scenario not in (*scenarios.PRESETS, "custom"):
-            raise ValidationError(f"scenario: unknown preset {self.scenario!r}")
+        """Raise ValidationError naming the first field the run cannot use."""
         if self.scenario == "custom" and self.k < 1:
             raise ValidationError("K: custom scenarios need K >= 1")
-        if self.iterations < 1:
-            raise ValidationError("iterations: must be >= 1")
-        if self.batch < 1:
-            raise ValidationError("batch: must be >= 1")
+        for section, build in (("scenario", self.scenario_preset),
+                               ("generator", self.generator_spec),
+                               ("train", self.train_config)):
+            try:
+                build()
+            except (DomainError, ConfigError) as exc:
+                raise ValidationError(f"[{section}] {exc}") from None
         if self.n % self.message_bits != 0:
             raise ValidationError("n: must be a multiple of message_bits")
         if self.trials < 1:
@@ -116,23 +116,26 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
+        """Read a config file; missing keys take defaults, unknown ones are refused."""
         parser = configparser.ConfigParser()
         if not parser.read(path):
             raise FileNotFoundError(path)
         types = {f.name: f.type for f in dataclasses.fields(cls)}
         kwargs = {}
-        for section, keys in cls._SECTIONS.items():
-            if section not in parser:
-                continue
-            for key in keys:
-                if key not in parser[section]:
-                    continue
-                raw = parser[section][key].strip()
-                kwargs[key] = cls._parse_field(key, raw, types[key])
+        for section in parser.sections():
+            if section not in cls._SECTIONS:
+                raise ValidationError(f"[{section}]: unknown section")
+            for key, raw in parser[section].items():
+                if key not in cls._SECTIONS[section]:
+                    raise ValidationError(f"{key}: unknown key in [{section}]")
+                try:
+                    kwargs[key] = cls._parse_field(raw.strip(), types[key])
+                except ValueError as exc:
+                    raise ValidationError(f"{key}: {exc}") from None
         return cls(**kwargs)
 
     @staticmethod
-    def _parse_field(key, raw, typ):
+    def _parse_field(raw, typ):
         typ = str(typ)
         if typ.startswith("tuple[float"):
             return tuple(float(v) for v in raw.split(",") if v.strip())
@@ -166,8 +169,7 @@ class RunConfig:
                            disc_warmup=self.disc_warmup,
                            snapshot_every=self.snapshot_every,
                            snapshot_trials=self.snapshot_trials,
-                           train_snr_db=self.train_snr_db,
-                           target_pf=self.target_pf, epsilon=self.epsilon)
+                           train_snr_db=self.train_snr_db, target_pf=self.target_pf)
 
     def digest(self) -> str:
         blob = json.dumps(dataclasses.asdict(self), sort_keys=True, default=str)
@@ -222,36 +224,23 @@ def _report_rows(report, method: str):
     return rows
 
 
-def _checkpoint_extra(cfg: RunConfig) -> dict:
-    return {
-        "scenario": cfg.scenario, "k": cfg.k, "sigma2": list(cfg.sigma2),
-        "rho": cfg.rho, "doppler_hz": cfg.doppler_hz, "n_taps": cfg.n_taps,
-        "message_bits": cfg.message_bits, "noise_dim": cfg.noise_dim,
-        "n": cfg.n, "power_linear": cfg.power_linear, "hidden": list(cfg.hidden),
-        "dropout": cfg.dropout, "train_snr_db": cfg.train_snr_db,
-        "loss_mode": cfg.loss_mode,
-    }
-
-
 def _system_from_checkpoint(path, cfg: RunConfig | None = None) -> System:
+    """Rebuild a trained system; cfg (default: the one saved with it) sets
+    the scenario and generator shape, while the saved config always sets the
+    loss mode and Bob's training SNR the nets were trained for."""
     nets, header = load_checkpoint(path)
-    extra = header["extra"]
+    saved = RunConfig(**{key: tuple(val) if isinstance(val, list) else val
+                         for key, val in header["extra"].items()})
     if cfg is None:
-        cfg = RunConfig()
-        for key in ("scenario", "k", "rho", "doppler_hz", "n_taps", "message_bits",
-                    "noise_dim", "n", "dropout", "train_snr_db", "loss_mode"):
-            setattr(cfg, key, extra[key])
-        cfg.sigma2 = tuple(extra["sigma2"])
-        cfg.hidden = tuple(extra["hidden"])
-        cfg.power_dbm = 10.0 * np.log10(extra["power_linear"])
+        cfg = saved
     scen = cfg.scenario_preset()
     spec = cfg.generator_spec()
     k = sum(1 for name in nets if name.startswith("disc_"))
     if k != scen.k:
         raise ValidationError(
             f"checkpoint has {k} discriminators but scenario {scen.name!r} has {scen.k} wardens")
-    system = build_system(spec, scen, RngStream(0), loss_mode=extra.get("loss_mode", "standard"),
-                          train_snr_db=extra.get("train_snr_db", cfg.train_snr_db))
+    system = build_system(spec, scen, RngStream(0), loss_mode=saved.loss_mode,
+                          train_snr_db=saved.train_snr_db)
     if system.generator.param_count() != nets["generator"].param_count():
         raise ValidationError("checkpoint generator shape does not match the config")
     system.generator = nets["generator"]
@@ -279,7 +268,7 @@ def cmd_train(args) -> int:
     nets = {"generator": system.generator, "decoder": system.decoder}
     for i, disc in enumerate(system.discriminators):
         nets[f"disc_{i}"] = disc
-    save_checkpoint(out_dir / f"ckpt_{tag}.npz", nets, cfg.seed, extra=_checkpoint_extra(cfg))
+    save_checkpoint(out_dir / f"ckpt_{tag}.npz", nets, cfg.seed, extra=dataclasses.asdict(cfg))
     _write_trainlog(out_dir / f"trainlog_{tag}.jsonl", log)
     _write_manifest(out_dir, cfg, "train", [cfg.seed])
     print(f"trained {cfg.scenario} seed={cfg.seed} -> ckpt_{tag}.npz")
@@ -300,8 +289,7 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = evaluation.evaluate_system(system, trials, RngStream(cfg.seed, 7),
-                                        target_pf=cfg.target_pf, epsilon=cfg.epsilon,
-                                        snr_db=cfg.eval_snr_db)
+                                        target_pf=cfg.target_pf, snr_db=cfg.eval_snr_db)
     rows = _report_rows(report, "proposed")
     path = out_dir / f"metrics_{cfg.digest()}_s{cfg.seed}.csv"
     with open(path, "w", newline="") as fh:
@@ -381,8 +369,7 @@ def cmd_baseline(args) -> int:
         system, _ = evaluation.single_discriminator_baseline(
             cfg.train_config(), scen, rng, gen_spec=spec)
         report = evaluation.evaluate_system(system, cfg.trials, rng.child(7),
-                                            target_pf=cfg.target_pf,
-                                            epsilon=cfg.epsilon, snr_db=cfg.eval_snr_db)
+                                            target_pf=cfg.target_pf, snr_db=cfg.eval_snr_db)
         rows = _report_rows(report, "single-disc")
     else:
         print(f"unknown baseline {args.name!r}; valid: noise-injection, single-disc",

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .channel import ChannelConfig, propagate, sample_taps
 from .numerics import DomainError, RngStream, energy, q_function, q_inverse, sample_awgn
@@ -87,7 +88,6 @@ def pd_at_target_pf(x_energy, sigma2: float, target_pf: float):
     P_D = Q(Q^-1(P_F) - sqrt(2 ||x||^2 / sigma2)).
     Accepts scalar or array x_energy (zero energy degrades to pd = pf).
     """
-    from scipy import special
     arr = np.asarray(x_energy, dtype=float)
     if np.any(arr < 0) or sigma2 <= 0:
         raise DomainError("x_energy must be >= 0 and sigma2 > 0")

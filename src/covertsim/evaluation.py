@@ -13,30 +13,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import scenarios
 from .adversarial import (
     GeneratorSpec,
     System,
     TrainConfig,
-    _cgn,
-    decoder_input,
+    WardenMetrics,
+    adaptive_warden_loop,
+    csr_from_detections,  # noqa: F401 - part of this module's API
+    decode_ber,
     generate_signal,
     sample_bob_taps,
+    sample_latents,
     sample_warden_taps,
     snr_db_to_bob_sigma2,
     train,
+    warden_detection,
 )
 from .channel import propagate
 from .detection import pd_at_target_pf
-from .numerics import DomainError, RngStream, to_reim
+from .numerics import DomainError, RngStream, sample_awgn
 from .scenarios import ScenarioPreset
-
-
-@dataclass
-class WardenMetrics:
-    pd: float
-    pf: float
-    pd_lrt: float
-    degenerate: bool = False
 
 
 @dataclass
@@ -48,7 +45,6 @@ class MetricsReport:
     ber: float
     csr: float
     trials: int
-    epsilon: float
     seed: int
     mean_signal_energy: float = 0.0
     extras: dict = field(default_factory=dict)
@@ -66,16 +62,8 @@ class MetricsReport:
         return float(np.mean([w.pd_lrt for w in self.per_warden]))
 
 
-def csr_from_detections(detected: np.ndarray) -> float:
-    """CSR from a (K, trials) boolean detection matrix: the fraction of
-    cases where no warden's detection indicator fires."""
-    detected = np.atleast_2d(np.asarray(detected, dtype=bool))
-    return float(np.mean(~np.any(detected, axis=0)))
-
-
 def measure_detection(system: System, trials: int, rng: RngStream,
-                      target_pf: float = 0.1, calib: int | None = None,
-                      epsilon: float = 0.1):
+                      target_pf: float = 0.1, calib: int | None = None):
     """Per-warden (pd, pf) through the learned discriminators plus the
     genie-LRT per-case bound; returns (list[WardenMetrics], csr, energy).
     """
@@ -84,32 +72,11 @@ def measure_detection(system: System, trials: int, rng: RngStream,
     if calib is None:
         calib = max(trials, 10_000)
     gen = rng.generator()
-    spec = system.gen_spec
-    scen = system.scenario
-    m = np.sign(gen.standard_normal((trials, spec.message_bits)) + 1e-12)
-    z = gen.standard_normal((trials, spec.noise_dim))
+    m, z = sample_latents(system.gen_spec, gen, trials)
     s, _ = generate_signal(system, m, z)
-    taps = sample_warden_taps(scen, trials, gen)
-    detected = np.zeros((scen.k, trials), dtype=bool)
     energy = float(np.mean(np.sum(np.abs(s) ** 2, axis=1)))
-    out = []
-    for i, disc in enumerate(system.discriminators):
-        sigma2 = scen.warden_sigma2[i]
-        x1 = propagate(s, taps[i])
-        y1 = x1 + _cgn(gen, s.shape, sigma2)
-        y0 = _cgn(gen, (calib, spec.n), sigma2)
-        out1 = disc.forward(to_reim(y1))[0][:, 0]
-        out0 = disc.forward(to_reim(y0))[0][:, 0]
-        degenerate = bool(np.std(out0) < 1e-9)
-        thr = np.quantile(out0, target_pf)
-        detected[i] = out1 < thr
-        ex = np.sum(np.abs(x1) ** 2, axis=1)
-        pd_lrt = float(np.mean(pd_at_target_pf(ex, sigma2, target_pf))) \
-            if ex.size else target_pf
-        out.append(WardenMetrics(pd=float(np.mean(detected[i])),
-                                 pf=float(np.mean(out0 < thr)),
-                                 pd_lrt=pd_lrt, degenerate=degenerate))
-    return out, csr_from_detections(detected), energy
+    per_warden, csr = warden_detection(system, s, gen, calib, target_pf)
+    return per_warden, csr, energy
 
 
 def lrt_detection_for_signals(s: np.ndarray, scenario: ScenarioPreset,
@@ -133,32 +100,26 @@ def measure_ber(system: System, snr_grid_db: list[float], trials: int,
     """
     gen = rng.generator()
     spec = system.gen_spec
-    scen = system.scenario
+    nbits = trials * spec.message_bits
     rows = []
     for snr_db in snr_grid_db:
         sigma_b2 = snr_db_to_bob_sigma2(spec.power, snr_db)
-        m = np.sign(gen.standard_normal((trials, spec.message_bits)) + 1e-12)
-        z = gen.standard_normal((trials, spec.noise_dim))
+        m, z = sample_latents(spec, gen, trials)
         s, _ = generate_signal(system, m, z)
-        taps = sample_bob_taps(scen, trials, gen)
-        y_b = propagate(s, taps) + _cgn(gen, s.shape, sigma_b2)
-        m_hat = system.decoder.forward(decoder_input(y_b, taps))[0]
-        nbits = trials * spec.message_bits
-        ber = float(np.mean(np.sign(m_hat + 1e-12) != m))
+        ber = decode_ber(system, s, m, sigma_b2, gen)
         rows.append((snr_db, ber, float(np.sqrt(max(ber * (1 - ber), 1e-12) / nbits))))
     return rows
 
 
 def evaluate_system(system: System, trials: int, rng: RngStream,
-                    target_pf: float = 0.1, epsilon: float = 0.1,
-                    snr_db: float = 20.0) -> MetricsReport:
+                    target_pf: float = 0.1, snr_db: float = 20.0) -> MetricsReport:
     """One-stop MetricsReport for a trained system."""
     per_warden, csr, energy = measure_detection(system, trials, rng.child(1),
-                                                target_pf=target_pf, epsilon=epsilon)
+                                                target_pf=target_pf)
     ber_rows = measure_ber(system, [snr_db], trials, rng.child(2))
     return MetricsReport(
         scenario=system.scenario.name, per_warden=per_warden,
-        ber=ber_rows[0][1], csr=csr, trials=trials, epsilon=epsilon,
+        ber=ber_rows[0][1], csr=csr, trials=trials,
         seed=rng.seed, mean_signal_energy=energy,
         extras={"snr_db": snr_db, "ber_stderr": ber_rows[0][2]},
     )
@@ -193,7 +154,7 @@ class NoiseInjectionTransmitter:
         m = np.atleast_2d(m)
         p = self.spec.power
         sig = np.sqrt(self.alpha * p) * self.chips(m).astype(complex)
-        mask = _cgn(gen, sig.shape, 1.0)
+        mask = sample_awgn(self.spec.n, 1.0, gen, count=m.shape[0])
         mask *= np.sqrt((1.0 - self.alpha) * p) \
             / np.maximum(np.sqrt(np.sum(np.abs(mask) ** 2, axis=1, keepdims=True)), 1e-300)
         s = sig + mask
@@ -224,7 +185,7 @@ def noise_injection_ber(tx: NoiseInjectionTransmitter, scenario: ScenarioPreset,
     m = np.sign(gen.standard_normal((trials, spec.message_bits)) + 1e-12)
     s = tx.generate(m, gen)
     taps = sample_bob_taps(scenario, trials, gen)
-    y = propagate(s, taps) + _cgn(gen, s.shape, sigma_b2)
+    y = propagate(s, taps) + sample_awgn(spec.n, sigma_b2, gen, count=trials)
     return float(np.mean(tx.decode(y, taps, spec.message_bits) != m))
 
 
@@ -284,9 +245,6 @@ def run_sweeps(which: str, cfg: TrainConfig, rng: RngStream,
                gen_spec: GeneratorSpec | None = None,
                trials: int = 2000) -> list[SweepPoint]:
     """Run one named experiment sweep; returns plot-ready rows."""
-    from . import scenarios
-    from .adversarial import adaptive_warden_loop
-
     if which not in SWEEP_NAMES:
         raise DomainError(f"unknown sweep {which!r}; valid: {SWEEP_NAMES}")
     if gen_spec is None:

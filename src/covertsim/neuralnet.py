@@ -274,7 +274,7 @@ def log_clamped(pred: np.ndarray) -> np.ndarray:
 # checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path, nets: dict[str, DenseNet], seed: int, extra: dict | None = None):

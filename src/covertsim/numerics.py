@@ -63,7 +63,7 @@ class RngStream:
 
     Identical pairs replay identical sequences; distinct stream ids give
     statistically independent streams, so per-trial streams can be handed
-    to parallel workers without coordination.
+    to parallel processes without coordination.
     """
 
     seed: int

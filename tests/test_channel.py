@@ -6,11 +6,9 @@ import pytest
 
 from covertsim.channel import (
     ChannelConfig,
-    TapSet,
     doppler_rotate,
     propagate,
     propagate_adjoint,
-    receive,
     sample_taps,
 )
 from covertsim.numerics import DomainError, RngStream
@@ -73,6 +71,13 @@ def test_propagate_batched_per_row_taps():
     np.testing.assert_allclose(out, [[1.0, 1.0], [0.0, 2.0]])
 
 
+def test_propagate_keeps_batch_of_one():
+    s = np.array([[1.0, 0.0, 0.0]], dtype=complex)
+    out = propagate(s, np.array([[1.0, 2.0]], dtype=complex))
+    assert out.shape == (1, 3)
+    np.testing.assert_allclose(out, [[1.0, 2.0, 0.0]])
+
+
 def test_propagate_single_tap_is_scaling():
     s = np.array([1.0 + 1.0j, 2.0], dtype=complex)
     np.testing.assert_allclose(propagate(s, np.array([2.0j])), 2.0j * s)
@@ -127,11 +132,22 @@ def test_doppler_rejects_negative_time():
         doppler_rotate(np.ones(2, dtype=complex), -1.0, 10.0)
 
 
-def test_tapset_rotation_consistency():
-    ts = sample_taps(ChannelConfig(), RngStream(2))
-    assert isinstance(ts, TapSet)
-    np.testing.assert_allclose(ts.tap_at(0.0), ts.base_taps)
-    np.testing.assert_allclose(np.abs(ts.tap_at(1.0)), np.abs(ts.base_taps))
+def test_doppler_rotates_rows_by_their_own_time():
+    taps = np.ones((2, 3), dtype=complex)
+    rotated = doppler_rotate(taps, np.array([0.0, 0.025]), doppler_hz=10.0)
+    np.testing.assert_allclose(rotated, [[1.0] * 3, [1.0j] * 3], atol=1e-12)
+    with pytest.raises(DomainError):
+        doppler_rotate(taps, np.array([0.0, -1.0]), 10.0)
+
+
+def test_sample_taps_rotation_matches_unrotated_draw():
+    cfg = ChannelConfig()
+    t = np.array([0.0, 1e-3, 2e-3])
+    base = sample_taps(cfg, RngStream(2), 3)
+    rotated = sample_taps(cfg, RngStream(2), 3, t)
+    assert rotated.shape == (3, cfg.n_taps)
+    np.testing.assert_array_equal(rotated, doppler_rotate(base, t, cfg.doppler_hz))
+    np.testing.assert_allclose(np.abs(rotated), np.abs(base))
 
 
 # ---------------------------------------------------------------------------
@@ -145,38 +161,3 @@ def test_tap_unit_mean_power_and_correlation():
     np.testing.assert_allclose(power, 1.0, atol=0.02)
     emp = (taps.conj().T @ taps) / taps.shape[0]
     np.testing.assert_allclose(emp.real, cfg.correlation().entries, atol=0.02)
-
-
-# ---------------------------------------------------------------------------
-# receive
-# ---------------------------------------------------------------------------
-
-def test_receive_h0_is_pure_noise():
-    cfg = ChannelConfig(noise_variance=1.0)
-    slot = receive(None, None, 0.0, cfg, RngStream(1), n=64)
-    assert slot.hypothesis == "H0"
-    assert slot.effective_x is None
-    assert slot.y.shape == (64,)
-
-
-def test_receive_h0_requires_length():
-    with pytest.raises(DomainError):
-        receive(None, None, 0.0, ChannelConfig(), RngStream(1))
-
-
-def test_receive_h1_effective_signal():
-    cfg = ChannelConfig(noise_variance=1e-12)
-    ts = sample_taps(cfg, RngStream(3))
-    s = np.ones(16, dtype=complex)
-    slot = receive(s, ts, 0.0, cfg, RngStream(4))
-    assert slot.hypothesis == "H1"
-    np.testing.assert_allclose(slot.effective_x, propagate(s, ts.base_taps))
-    # at negligible noise the observation is the effective signal
-    np.testing.assert_allclose(slot.y, slot.effective_x, atol=1e-4)
-
-
-def test_receive_deterministic_given_stream():
-    cfg = ChannelConfig()
-    a = receive(None, None, 0.0, cfg, RngStream(11), n=32).y
-    b = receive(None, None, 0.0, cfg, RngStream(11), n=32).y
-    np.testing.assert_array_equal(a, b)

@@ -8,6 +8,8 @@ import json
 import numpy as np
 import pytest
 
+from covertsim import neuralnet
+from covertsim.adversarial import train
 from covertsim.cli import (
     CSV_HEADER,
     EXIT_OK,
@@ -15,8 +17,12 @@ from covertsim.cli import (
     EXIT_VALIDATION,
     RunConfig,
     ValidationError,
+    _system_from_checkpoint,
     main,
 )
+from covertsim.evaluation import evaluate_system
+from covertsim.neuralnet import StateError
+from covertsim.numerics import RngStream
 
 
 def _tiny_config(tmp_path, **overrides):
@@ -66,11 +72,33 @@ def test_power_dbm_to_linear():
     ({"iterations": 0}, "iterations"),
     ({"n": 10, "message_bits": 4}, "n"),
     ({"trials": 0}, "trials"),
+    ({"loss_mode": "bogus"}, "loss mode"),
+    ({"dropout": 1.5}, "dropout"),
+    ({"scenario": "custom", "k": 2, "sigma2": (1.0,)}, "noise variances"),
 ])
 def test_validate_names_offending_field(overrides, needle):
     cfg = RunConfig(**overrides)
     with pytest.raises(ValidationError, match=needle):
         cfg.validate()
+
+
+@pytest.mark.parametrize("text,needle", [
+    ("[train]\niteration = 5\n", "iteration"),
+    ("[eval]\nepsilon = 0.1\n", "epsilon"),
+    ("[runs]\nseed = 1\n", "runs"),
+    ("[train]\niterations = many\n", "iterations"),
+])
+def test_load_rejects_unknown_or_unparsable_keys(tmp_path, text, needle):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=needle):
+        RunConfig.load(path)
+
+
+def test_load_fills_missing_keys_with_defaults(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("[train]\niterations = 5\n")
+    assert RunConfig.load(path) == RunConfig(iterations=5)
 
 
 def test_scenario_preset_custom_and_named():
@@ -183,6 +211,10 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     _, path = _tiny_config(tmp_path, iterations=0)
     assert main(["train", "--config", str(path),
                  "--out", str(tmp_path)]) == EXIT_VALIDATION
+    # rejected by a library constructor rather than a check of RunConfig's own
+    _, path = _tiny_config(tmp_path, dropout=1.5)
+    assert main(["train", "--config", str(path),
+                 "--out", str(tmp_path)]) == EXIT_VALIDATION
 
 
 def test_usage_error_on_unknown_subcommand():
@@ -201,3 +233,37 @@ def test_train_seed_override_and_determinism(tmp_path):
     ckpt_b = out_b / ckpt_a.name
     with np.load(ckpt_a) as a, np.load(ckpt_b) as b:
         np.testing.assert_array_equal(a["generator"], b["generator"])
+
+
+def test_train_with_single_trial_snapshots(tmp_path):
+    _, path = _tiny_config(tmp_path, snapshot_trials=1)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "runs")]) == EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# checkpoints
+# ---------------------------------------------------------------------------
+
+def test_checkpoint_round_trip_reproduces_the_system(tmp_path):
+    cfg, path = _tiny_config(tmp_path, loss_mode="wasserstein", train_snr_db=15.0)
+    out = tmp_path / "runs"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    ckpt = out / f"ckpt_{cfg.digest()}_s0.npz"
+    system, _ = train(cfg.train_config(), cfg.scenario_preset(), RngStream(cfg.seed),
+                      gen_spec=cfg.generator_spec())
+    expected = evaluate_system(system, 200, RngStream(5))
+    for reloaded in (_system_from_checkpoint(ckpt), _system_from_checkpoint(ckpt, cfg)):
+        assert reloaded.loss_mode == "wasserstein"
+        assert reloaded.bob_sigma2 == system.bob_sigma2
+        np.testing.assert_array_equal(reloaded.lambdas, system.lambdas)
+        assert evaluate_system(reloaded, 200, RngStream(5)) == expected
+
+
+def test_checkpoint_from_older_schema_is_refused(tmp_path, monkeypatch):
+    cfg, path = _tiny_config(tmp_path)
+    out = tmp_path / "runs"
+    monkeypatch.setattr(neuralnet, "CHECKPOINT_VERSION", 1)
+    assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    monkeypatch.undo()
+    with pytest.raises(StateError, match="version 1"):
+        _system_from_checkpoint(out / f"ckpt_{cfg.digest()}_s0.npz")
