@@ -106,16 +106,28 @@ class TrainLog:
 
 @dataclass
 class System:
-    """Trained (or in-training) nets plus the scenario they were built for."""
+    """Trained (or in-training) nets plus the scenario they were built for.
+
+    The K discriminators are one stacked net, ``wardens``; ``discriminators``
+    lists views of its rows, and assigning a list copies it into a new stack.
+    """
 
     generator: DenseNet
     decoder: DenseNet
-    discriminators: list[DenseNet]
+    wardens: DenseNet
     gen_spec: GeneratorSpec
     scenario: ScenarioPreset
     lambdas: np.ndarray
     bob_sigma2: float
     loss_mode: str = "standard"
+
+    @property
+    def discriminators(self) -> list[DenseNet]:
+        return self.wardens.rows()
+
+    @discriminators.setter
+    def discriminators(self, nets: list[DenseNet]) -> None:
+        self.wardens = DenseNet.stack(nets)
 
 
 def snr_db_to_bob_sigma2(power: float, snr_db: float) -> float:
@@ -157,14 +169,11 @@ def build_system(gen_spec: GeneratorSpec, scenario: ScenarioPreset, rng: RngStre
     generator = DenseNet(gen_layers, rng.child(1))
 
     disc_out = "linear" if loss_mode == "wasserstein" else "sigmoid"
-    discs = []
-    for i in range(scenario.k):
-        layers = []
-        ddims = [n2, *disc_hidden]
-        for a, b in zip(ddims, ddims[1:]):
-            layers.append(LayerSpec(a, b, "leaky-relu"))
-        layers.append(LayerSpec(ddims[-1], 1, disc_out))
-        discs.append(DenseNet(layers, rng.child(10 + i)))
+    ddims = [n2, *disc_hidden]
+    disc_layers = [LayerSpec(a, b, "leaky-relu") for a, b in zip(ddims, ddims[1:])]
+    disc_layers.append(LayerSpec(ddims[-1], 1, disc_out))
+    wardens = DenseNet.stack([DenseNet(disc_layers, rng.child(10 + i))
+                              for i in range(scenario.k)])
 
     # decoder sees y_B plus Bob's (perfect-CSI) tap gains as re/im pairs
     dec_layers = []
@@ -175,7 +184,7 @@ def build_system(gen_spec: GeneratorSpec, scenario: ScenarioPreset, rng: RngStre
     decoder = DenseNet(dec_layers, rng.child(2))
 
     lambdas = np.full(scenario.k, 1.0 / scenario.k)
-    return System(generator, decoder, discs, gen_spec, scenario, lambdas,
+    return System(generator, decoder, wardens, gen_spec, scenario, lambdas,
                   bob_sigma2, loss_mode)
 
 
@@ -293,25 +302,24 @@ def generator_loss(system: System, m, z, warden_taps, warden_noise,
     """
     s, aux = generate_signal(system, m, z, train=True, rng=rng)
     batch = s.shape[0]
-    grad_s = np.zeros_like(s)
-    covert = 0.0
-    d1_means = []
-    for i, disc in enumerate(system.discriminators):
-        y1 = propagate(s, warden_taps[i]) + warden_noise[i]
-        d1, dcache = disc.forward(to_reim(y1), train=True, rng=rng)
-        p = d1[:, 0]
-        d1_means.append(float(np.mean(p)))
-        lam = system.lambdas[i]
-        if system.loss_mode == "wasserstein":
-            covert += lam * float(-np.mean(p))
-            gp = np.full_like(d1, -lam / batch)
-        else:
-            pc = np.clip(p, _CLAMP, 1.0 - _CLAMP)
-            covert += lam * float(np.mean(np.log(1.0 - pc)))
-            gp = np.where((p > _CLAMP) & (p < 1.0 - _CLAMP),
-                          -lam / (1.0 - pc) / batch, 0.0)[:, None]
-        _, gin = disc.backward(dcache, gp)
-        grad_s += propagate_adjoint(from_reim(gin), warden_taps[i])
+    # all K wardens in one pass: (K, B, N) received slots, (K, B, 1) verdicts
+    y1 = propagate(s, warden_taps) + warden_noise
+    d1, dcache = system.wardens.forward(to_reim(y1), train=True, rng=rng)
+    p = d1[..., 0]
+    d1_means = np.mean(p, axis=-1)
+    lam = system.lambdas[:, None]
+    if system.loss_mode == "wasserstein":
+        covert_terms = system.lambdas * -d1_means
+        gp = np.broadcast_to(-lam[..., None] / batch, d1.shape)
+    else:
+        pc = np.clip(p, _CLAMP, 1.0 - _CLAMP)
+        covert_terms = system.lambdas * np.mean(np.log(1.0 - pc), axis=-1)
+        gp = np.where((p > _CLAMP) & (p < 1.0 - _CLAMP),
+                      -lam / (1.0 - pc) / batch, 0.0)[..., None]
+    covert = sum(covert_terms.tolist())
+    _, gin = system.wardens.backward(dcache, gp)
+    # the K adjoints are summed in warden order
+    grad_s = propagate_adjoint(from_reim(gin), warden_taps).sum(axis=0)
 
     y_b = propagate(s, bob_taps) + bob_noise
     m_hat, dec_cache = system.decoder.forward(decoder_input(y_b, bob_taps),
@@ -324,7 +332,7 @@ def generator_loss(system: System, m, z, warden_taps, warden_noise,
 
     gen_grads = signal_gradient_to_generator(system, grad_s, aux)
     loss = covert + mu * mse
-    return loss, covert, mse, gen_grads, dec_grads, d1_means
+    return loss, covert, mse, gen_grads, dec_grads, d1_means.tolist()
 
 
 def wasserstein_losses(system: System, noise_batch: np.ndarray,
@@ -435,29 +443,48 @@ def snapshot_metrics(system: System, rng: RngStream, trials: int = 512,
 # training loop
 # ---------------------------------------------------------------------------
 
+def _require_finite(value: np.ndarray, names: list[str], what: str, where: str) -> None:
+    """Raise RuntimeError naming where and the first net (one row of value
+    per name) with a non-finite entry."""
+    finite = np.isfinite(value)
+    if not finite.all():
+        bad = names[int(np.argmin(finite.reshape(len(names), -1).all(axis=1)))]
+        raise RuntimeError(f"non-finite {what} of {bad} at {where}")
+
+
 def _disc_update(disc: DenseNet, adam: AdamState, y0: np.ndarray, y1: np.ndarray,
-                 loss_mode: str, clip: float,
-                 rng: np.random.Generator) -> float:
-    """One ascent step on the warden objective; returns the logged value."""
-    x = np.concatenate([to_reim(y0), to_reim(y1)], axis=0)
+                 loss_mode: str, clip: float, rng: np.random.Generator,
+                 where: str) -> np.ndarray:
+    """One ascent step on the warden objective; returns the logged value.
+
+    y0/y1 are (B, N) H0/H1 batches for one net, or (K, B, N) for K stacked
+    nets, which then log one value each.
+    """
+    x = np.concatenate([to_reim(y0), to_reim(y1)], axis=-2)
     out, cache = disc.forward(x, train=True, rng=rng)
-    b0 = y0.shape[0]
+    b0 = y0.shape[-2]
     if loss_mode == "wasserstein":
         # maximize mean c(noise) - mean c(signal)
         gout = np.zeros_like(out)
-        gout[:b0] = -1.0 / b0
-        gout[b0:] = 1.0 / y1.shape[0]
-        grads, _ = disc.backward(cache, gout)
-        adam_step(adam, disc, grads)
-        disc.clip_weights(clip)
-        return float(np.mean(out[:b0]) - np.mean(out[b0:]))
-    labels = np.concatenate([np.ones((b0, 1)), np.zeros((y1.shape[0], 1))])
-    _, gout = bce_loss(out, labels)
+        gout[..., :b0, :] = -1.0 / b0
+        gout[..., b0:, :] = 1.0 / y1.shape[-2]
+        value = np.mean(out[..., :b0, 0], axis=-1) - np.mean(out[..., b0:, 0], axis=-1)
+    else:
+        labels = np.zeros_like(out)
+        labels[..., :b0, :] = 1.0
+        _, gout = bce_loss(out, labels)
+        p0 = np.clip(out[..., :b0, 0], _CLAMP, 1 - _CLAMP)
+        p1 = np.clip(out[..., b0:, 0], _CLAMP, 1 - _CLAMP)
+        value = np.mean(np.log(p0), axis=-1) + np.mean(np.log(1 - p1), axis=-1)
     grads, _ = disc.backward(cache, gout)
+    names = ([f"disc_{i}" for i in range(len(disc.params))] if disc.params.ndim == 2
+             else ["disc"])
+    _require_finite(value, names, "discriminator loss", where)
+    _require_finite(grads, names, "gradient", where)
     adam_step(adam, disc, grads)
-    p0 = np.clip(out[:b0], _CLAMP, 1 - _CLAMP)
-    p1 = np.clip(out[b0:], _CLAMP, 1 - _CLAMP)
-    return float(np.mean(np.log(p0)) + np.mean(np.log(1 - p1)))
+    if loss_mode == "wasserstein":
+        disc.clip_weights(clip)
+    return value
 
 
 def train(cfg: TrainConfig, scenario: ScenarioPreset, rng: RngStream,
@@ -483,8 +510,7 @@ def train(cfg: TrainConfig, scenario: ScenarioPreset, rng: RngStream,
 
     adam_g = AdamState(system.generator.param_count(), lr=cfg.lr, beta1=cfg.beta1)
     adam_dec = AdamState(system.decoder.param_count(), lr=cfg.lr, beta1=cfg.beta1)
-    adam_d = [AdamState(d.param_count(), lr=cfg.lr, beta1=cfg.beta1)
-              for d in system.discriminators]
+    adam_d = AdamState(system.wardens.params.shape, lr=cfg.lr, beta1=cfg.beta1)
 
     spec = system.gen_spec
     slot = 0
@@ -504,12 +530,12 @@ def train(cfg: TrainConfig, scenario: ScenarioPreset, rng: RngStream,
         return m, z, w_taps, w_noise, w_noise0, b_taps, b_noise
 
     # discriminator warm-up so the first CSR snapshot reflects trained wardens
-    for _ in range(cfg.disc_warmup):
+    for step in range(1, cfg.disc_warmup + 1):
         m, z, w_taps, w_noise, w_noise0, _, _ = sample_round(cfg.batch)
         s, _ = generate_signal(system, m, z)
-        for i, disc in enumerate(system.discriminators):
-            y1 = propagate(s, w_taps[i]) + w_noise[i]
-            _disc_update(disc, adam_d[i], w_noise0[i], y1, cfg.loss_mode, cfg.clip, gen)
+        y1 = propagate(s, w_taps) + w_noise
+        _disc_update(system.wardens, adam_d, w_noise0, y1, cfg.loss_mode, cfg.clip, gen,
+                     f"warm-up step {step}")
 
     snap_rng = rng.child(200)
     if cfg.snapshot_every:
@@ -522,11 +548,9 @@ def train(cfg: TrainConfig, scenario: ScenarioPreset, rng: RngStream,
         m, z, w_taps, w_noise, w_noise0, b_taps, b_noise = sample_round(cfg.batch)
 
         s, _ = generate_signal(system, m, z)
-        d_losses = []
-        for i, disc in enumerate(system.discriminators):
-            y1 = propagate(s, w_taps[i]) + w_noise[i]
-            d_losses.append(_disc_update(disc, adam_d[i], w_noise0[i], y1,
-                                         cfg.loss_mode, cfg.clip, gen))
+        y1 = propagate(s, w_taps) + w_noise
+        d_losses = _disc_update(system.wardens, adam_d, w_noise0, y1, cfg.loss_mode,
+                                cfg.clip, gen, f"iteration {it}").tolist()
 
         loss, covert, mse, g_grads, dec_grads, d1_means = generator_loss(
             system, m, z, w_taps, w_noise, b_taps, b_noise, mu=cfg.mu, rng=gen)
@@ -534,6 +558,8 @@ def train(cfg: TrainConfig, scenario: ScenarioPreset, rng: RngStream,
             raise RuntimeError(
                 f"non-finite generator loss at iteration {it}: "
                 f"covert={covert} mse={mse} disc={d_losses}")
+        _require_finite(g_grads, ["generator"], "gradient", f"iteration {it}")
+        _require_finite(dec_grads, ["decoder"], "gradient", f"iteration {it}")
         adam_step(adam_g, system.generator, g_grads)
         adam_step(adam_dec, system.decoder, dec_grads)
 
@@ -601,6 +627,7 @@ def adaptive_warden_loop(system: System, rng: RngStream, period: int = 1000,
                     pick = gen.integers(0, seen.shape[0], size=min(64, seen.shape[0]))
                     y1 = seen[pick] * np.exp(2j * np.pi * gen.random((pick.size, 1)))
                     y0 = sample_awgn(spec.n, scen.warden_sigma2[i], gen, count=pick.size)
-                    _disc_update(disc, adams[i], y0, y1, system.loss_mode, 0.05, gen)
+                    _disc_update(disc, adams[i], y0, y1, system.loss_mode, 0.05, gen,
+                                 f"adaptive retraining of warden {i}")
                 buffers[i] = [seen]
     return metric

@@ -68,25 +68,26 @@ def doppler_rotate(base_taps: np.ndarray, t, doppler_hz: float) -> np.ndarray:
     return base_taps * np.exp(2j * np.pi * doppler_hz * t)[..., None]
 
 
+def _zeros_for(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Zero output of the broadcast leading shape of x and taps, x's length."""
+    lead = np.broadcast_shapes(x.shape[:-1], taps.shape[:-1])
+    return np.zeros((*lead, x.shape[-1]), dtype=np.result_type(x, taps))
+
+
 def propagate(s: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Apply the multipath channel: out[k] = sum_l h_l s[k-l], zero-prefixed.
 
-    Supports batched input: s (B, N) with taps (B, L) or (L,); a 1-D s
-    gives a 1-D result, a (1, N) batch stays (1, N).
+    Leading axes broadcast: s (..., N) with taps (..., L), e.g. one (B, N)
+    batch through (K, B, L) per-warden taps gives (K, B, N).
     """
-    squeeze = np.ndim(s) == 1
-    s = np.atleast_2d(s)
-    taps = np.atleast_2d(taps)
-    batch, n = s.shape
-    n_taps = taps.shape[1]
+    s, taps = np.asarray(s), np.asarray(taps)
+    n, n_taps = s.shape[-1], taps.shape[-1]
     if n < n_taps:
         raise DomainError(f"signal length {n} shorter than tap count {n_taps}")
-    if taps.shape[0] == 1 and batch > 1:
-        taps = np.broadcast_to(taps, (batch, n_taps))
-    out = np.zeros_like(s)
+    out = _zeros_for(s, taps)
     for l in range(n_taps):
-        out[:, l:] += taps[:, l:l + 1] * s[:, :n - l]
-    return out[0] if squeeze else out
+        out[..., l:] += taps[..., l:l + 1] * s[..., :n - l]
+    return out
 
 
 def propagate_adjoint(grad_y: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -94,14 +95,11 @@ def propagate_adjoint(grad_y: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
     grad_s[k] = sum_l conj(h_l) grad_y[k+l]; treating complex vectors as
     stacked real pairs this is the exact transpose of the real-linear map.
+    Leading axes broadcast as in :func:`propagate`.
     """
-    grad_y = np.atleast_2d(grad_y)
-    taps = np.atleast_2d(taps)
-    batch, n = grad_y.shape
-    n_taps = taps.shape[1]
-    if taps.shape[0] == 1 and batch > 1:
-        taps = np.broadcast_to(taps, (batch, n_taps))
-    out = np.zeros_like(grad_y)
-    for l in range(n_taps):
-        out[:, :n - l] += np.conj(taps[:, l:l + 1]) * grad_y[:, l:]
+    grad_y, taps = np.asarray(grad_y), np.asarray(taps)
+    n = grad_y.shape[-1]
+    out = _zeros_for(grad_y, taps)
+    for l in range(taps.shape[-1]):
+        out[..., :n - l] += np.conj(taps[..., l:l + 1]) * grad_y[..., l:]
     return out

@@ -224,13 +224,18 @@ def _report_rows(report, method: str):
     return rows
 
 
+def _saved_config(header: dict) -> RunConfig:
+    """The run config a checkpoint was trained with (lists back to tuples)."""
+    return RunConfig(**{key: tuple(val) if isinstance(val, list) else val
+                        for key, val in header["extra"].items()})
+
+
 def _system_from_checkpoint(path, cfg: RunConfig | None = None) -> System:
     """Rebuild a trained system; cfg (default: the one saved with it) sets
     the scenario and generator shape, while the saved config always sets the
     loss mode and Bob's training SNR the nets were trained for."""
     nets, header = load_checkpoint(path)
-    saved = RunConfig(**{key: tuple(val) if isinstance(val, list) else val
-                         for key, val in header["extra"].items()})
+    saved = _saved_config(header)
     if cfg is None:
         cfg = saved
     scen = cfg.scenario_preset()
@@ -276,15 +281,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = RunConfig.load(args.config) if args.config else None
-    if cfg is not None:
-        if args.seed is not None:
-            cfg.seed = args.seed
-        cfg.validate()
+    if args.config:
+        cfg = RunConfig.load(args.config)
+    else:
+        cfg = _saved_config(load_checkpoint(args.checkpoint)[1])
+    if args.seed is not None:
+        cfg.seed = args.seed
+    cfg.validate()
     system = _system_from_checkpoint(args.checkpoint, cfg)
-    if cfg is None:
-        cfg = RunConfig()
-        cfg.seed = args.seed if args.seed is not None else 0
     trials = args.trials or cfg.trials
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -50,11 +50,11 @@ def _relu_grad(a, out):
 
 
 def _leaky(a, slope=0.01):
-    return np.where(a > 0, a, slope * a)
+    return np.maximum(a, slope * a)
 
 
 def _leaky_grad(a, out, slope=0.01):
-    return np.where(a > 0, 1.0, slope)
+    return (a > 0) * (1.0 - slope) + slope
 
 
 def _sigmoid(a):
@@ -91,20 +91,52 @@ _ACTIVATIONS = {
 
 
 class DenseNet:
-    """A stack of fully connected layers with per-layer activation/dropout."""
+    """A stack of fully connected layers with per-layer activation/dropout.
 
-    def __init__(self, specs: list[LayerSpec], rng: RngStream | np.random.Generator):
+    All parameters live in one float64 buffer ``params``, of which
+    ``weights[i]``/``biases[i]`` are views. A (K, P) buffer runs K
+    same-shaped nets as one, with a leading K axis on inputs and gradients.
+    """
+
+    def __init__(self, specs: list[LayerSpec], rng: RngStream | np.random.Generator | None = None,
+                 params: np.ndarray | None = None):
+        """Glorot-initialise a fresh buffer from rng, or view the given params."""
         for a, b in zip(specs, specs[1:]):
             if a.out_dim != b.in_dim:
                 raise DomainError(f"layer dims do not chain: {a.out_dim} -> {b.in_dim}")
         self.specs = list(specs)
-        gen = rng.generator() if isinstance(rng, RngStream) else rng
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for spec in specs:
-            bound = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
-            self.weights.append(gen.uniform(-bound, bound, size=(spec.out_dim, spec.in_dim)))
-            self.biases.append(np.zeros(spec.out_dim))
+        size = sum(s.out_dim * (s.in_dim + 1) for s in specs)
+        if params is not None and params.shape[-1] != size:
+            raise ShapeError(f"params length {params.shape[-1]} != param count {size}")
+        self.params = np.zeros(size) if params is None else params
+        self.weights, self.biases = self._views(self.params)
+        if params is None:
+            gen = rng.generator() if isinstance(rng, RngStream) else rng
+            for spec, w in zip(specs, self.weights):
+                bound = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
+                w[...] = gen.uniform(-bound, bound, size=(spec.out_dim, spec.in_dim))
+
+    def _views(self, buf: np.ndarray):
+        """Per-layer (weights, biases) views into a params-shaped buffer."""
+        weights, biases = [], []
+        lead, pos = buf.shape[:-1], 0
+        for spec in self.specs:
+            end = pos + spec.out_dim * spec.in_dim
+            weights.append(buf[..., pos:end].reshape(*lead, spec.out_dim, spec.in_dim))
+            biases.append(buf[..., end:end + spec.out_dim])
+            pos = end + spec.out_dim
+        return weights, biases
+
+    @classmethod
+    def stack(cls, nets: list["DenseNet"]) -> "DenseNet":
+        """Copy same-shaped nets into the rows of one (K, P) stacked net."""
+        if any(net.specs != nets[0].specs for net in nets):
+            raise ShapeError("only nets with identical layer specs can be stacked")
+        return cls(nets[0].specs, params=np.stack([net.params for net in nets]))
+
+    def rows(self) -> list["DenseNet"]:
+        """The K nets of a stacked net, each a view of its row of params."""
+        return [DenseNet(self.specs, params=row) for row in self.params]
 
     @property
     def in_dim(self) -> int:
@@ -122,14 +154,14 @@ class DenseNet:
         per-layer tensors needed by :meth:`backward`.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.in_dim:
-            raise ShapeError(f"input dim {x.shape[1]} != expected {self.in_dim}")
+        if x.shape[-1] != self.in_dim:
+            raise ShapeError(f"input dim {x.shape[-1]} != expected {self.in_dim}")
         if train and rng is None and any(s.dropout > 0 for s in self.specs):
             raise StateError("train-mode forward with dropout needs an rng")
         cache = [] if train else None
         h = x
         for spec, w, b in zip(self.specs, self.weights, self.biases):
-            pre = h @ w.T + b
+            pre = h @ np.swapaxes(w, -1, -2) + b[..., None, :]
             act, _ = _ACTIVATIONS[spec.activation]
             out = act(pre)
             mask = None
@@ -144,13 +176,15 @@ class DenseNet:
     def backward(self, cache, grad_out: np.ndarray):
         """Reverse-mode gradients for the cached forward pass.
 
-        Returns (grads, grad_input) where grads is a per-layer list of
-        (dW, db) summed over the batch and grad_input has the input shape.
+        Returns (grads, grad_input): grads is a fresh buffer shaped like
+        params holding each layer's (dW, db) summed over the batch, and
+        grad_input has the input shape.
         """
         if cache is None or len(cache) != len(self.specs):
             raise StateError("backward requires the cache of a matching train-mode forward")
         g = np.atleast_2d(np.asarray(grad_out, dtype=float))
-        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.specs)
+        grads = np.empty_like(self.params)
+        grad_w, grad_b = self._views(grads)
         for idx in range(len(self.specs) - 1, -1, -1):
             spec = self.specs[idx]
             h_in, pre, out, mask = cache[idx]
@@ -158,45 +192,32 @@ class DenseNet:
                 g = g * mask
             _, act_grad = _ACTIVATIONS[spec.activation]
             g_pre = g * act_grad(pre, out)
-            grads[idx] = (g_pre.T @ h_in, g_pre.sum(axis=0))
+            np.matmul(np.swapaxes(g_pre, -1, -2), h_in, out=grad_w[idx])
+            g_pre.sum(axis=-2, out=grad_b[idx])
             g = g_pre @ self.weights[idx]
         return grads, g
 
     # -- flat parameter views -------------------------------------------------
 
     def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def get_flat(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        return self.params.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
         if flat.size != self.param_count():
             raise ShapeError(f"flat size {flat.size} != param count {self.param_count()}")
-        pos = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = flat[pos:pos + w.size].reshape(w.shape).copy()
-            pos += w.size
-            self.biases[i] = flat[pos:pos + b.size].copy()
-            pos += b.size
+        self.params[...] = flat.reshape(self.params.shape)
 
     @staticmethod
     def grads_flat(grads) -> np.ndarray:
-        parts = []
-        for gw, gb in grads:
-            parts.append(gw.ravel())
-            parts.append(gb.ravel())
-        return np.concatenate(parts)
+        """The flat gradient vector of a :meth:`backward` result (already flat)."""
+        return grads
 
     def clip_weights(self, bound: float) -> None:
         """Project every parameter into [-bound, bound] (critic clipping)."""
-        for i in range(len(self.weights)):
-            np.clip(self.weights[i], -bound, bound, out=self.weights[i])
-            np.clip(self.biases[i], -bound, bound, out=self.biases[i])
+        np.clip(self.params, -bound, bound, out=self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +226,9 @@ class DenseNet:
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam over a flat parameter vector."""
+    """Bias-corrected Adam over a flat (or (K, P) stacked) parameter buffer."""
 
-    dim: int
+    dim: int | tuple[int, ...]
     lr: float = 1e-4
     beta1: float = 0.5
     beta2: float = 0.999
@@ -222,20 +243,37 @@ class AdamState:
         if self.v is None:
             self.v = np.zeros(self.dim)
 
-    def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        if params.shape != grads.shape or params.size != self.dim:
+    def update(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Take one step on params in place."""
+        if params.shape != grads.shape or params.shape != self.m.shape:
             raise ShapeError("params/grads shape mismatch with Adam state")
         self.step_count += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grads
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grads ** 2
-        m_hat = self.m / (1 - self.beta1 ** self.step_count)
-        v_hat = self.v / (1 - self.beta2 ** self.step_count)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        # params -= lr * m_hat / (sqrt(v_hat) + eps), in two scratch buffers
+        step = np.multiply(grads, 1 - self.beta1)
+        self.m *= self.beta1
+        self.m += step
+        denom = np.square(grads)
+        denom *= 1 - self.beta2
+        self.v *= self.beta2
+        self.v += denom
+        np.divide(self.m, 1 - self.beta1 ** self.step_count, out=step)
+        step *= self.lr
+        np.divide(self.v, 1 - self.beta2 ** self.step_count, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.epsilon
+        step /= denom
+        params -= step
+
+    def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        """One step on a copy of params; returns the updated copy."""
+        params = np.array(params, dtype=float)
+        self.update(params, grads)
+        return params
 
 
-def adam_step(state: AdamState, net: DenseNet, grads) -> None:
-    """Apply one Adam update to a net from a backward() gradient list."""
-    net.set_flat(state.step(net.get_flat(), DenseNet.grads_flat(grads)))
+def adam_step(state: AdamState, net: DenseNet, grads: np.ndarray) -> None:
+    """Apply one Adam update to a net's parameters from a backward() gradient."""
+    state.update(net.params, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +288,8 @@ def bce_loss(pred: np.ndarray, label: np.ndarray):
         raise ShapeError(f"shape mismatch: pred {pred.shape} vs label {label.shape}")
     p = np.clip(pred, _EPS_CLAMP, 1.0 - _EPS_CLAMP)
     loss = float(np.mean(-(label * np.log(p) + (1 - label) * np.log(1 - p))))
-    grad = (-(label / p) + (1 - label) / (1 - p)) / p.size
+    # a mean per leading index: stacked (K, B, 1) predictions are K losses
+    grad = (-(label / p) + (1 - label) / (1 - p)) / np.prod(p.shape[-2:])
     grad = np.where((pred > _EPS_CLAMP) & (pred < 1 - _EPS_CLAMP), grad, 0.0)
     return loss, grad
 
@@ -302,7 +341,5 @@ def load_checkpoint(path):
         nets = {}
         for name, spec_rows in header["nets"].items():
             specs = [LayerSpec(int(r[0]), int(r[1]), r[2], float(r[3])) for r in spec_rows]
-            net = DenseNet(specs, RngStream(0))
-            net.set_flat(np.asarray(data[name], dtype=float))
-            nets[name] = net
+            nets[name] = DenseNet(specs, params=np.array(data[name], dtype=float))
     return nets, header

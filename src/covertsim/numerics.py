@@ -9,6 +9,7 @@ first) is provided by :func:`to_reim` / :func:`from_reim`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -131,6 +132,13 @@ def cholesky(corr: CorrelationMatrix | np.ndarray) -> np.ndarray:
         raise DecompositionError(f"matrix is not positive definite: {exc}") from exc
 
 
+@lru_cache(maxsize=64)
+def _cached_factor(corr: CorrelationMatrix) -> np.ndarray:
+    factor = cholesky(corr)
+    factor.flags.writeable = False
+    return factor
+
+
 def sample_correlated_cgn(corr: CorrelationMatrix, rng: RngStream | np.random.Generator,
                           count: int = 1) -> np.ndarray:
     """Draw circularly symmetric complex Gaussian vectors with E[v v^H] = R.
@@ -139,7 +147,7 @@ def sample_correlated_cgn(corr: CorrelationMatrix, rng: RngStream | np.random.Ge
     (count, dim); squeeze to (dim,) with count=1 left to the caller.
     """
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    factor = cholesky(corr)
+    factor = _cached_factor(corr)
     white = gen.standard_normal((count, corr.dim)) + 1j * gen.standard_normal((count, corr.dim))
     return (white / np.sqrt(2.0)) @ factor.T
 
@@ -152,4 +160,7 @@ def sample_awgn(n: int, variance: float, rng: RngStream | np.random.Generator,
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     shape = (n,) if count is None else (count, n)
     scale = np.sqrt(variance / 2.0)
-    return scale * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
+    out = np.empty(shape, dtype=complex)
+    out.real = scale * gen.standard_normal(shape)
+    out.imag = scale * gen.standard_normal(shape)
+    return out

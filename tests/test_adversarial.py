@@ -234,6 +234,14 @@ def test_train_system_mode_mismatch():
         train(cfg, make_scenario(1), RngStream(0), system=system)
 
 
+def test_non_finite_discriminator_is_named():
+    scen = make_scenario(3)
+    system = build_system(TINY_SPEC, scen, RngStream(0))
+    system.discriminators[1].weights[0][0, 0] = np.nan
+    with pytest.raises(RuntimeError, match="disc_1 at warm-up step 1"):
+        train(TrainConfig(**TINY_CFG), scen, RngStream(0), system=system)
+
+
 def test_discriminator_loss_range():
     scen = make_scenario(1)
     system = build_system(TINY_SPEC, scen, RngStream(0))

@@ -1,8 +1,11 @@
 """Tests for the channel layer: configuration validation, hand-checked
-convolution, the adjoint identity, Doppler rotation and tap statistics."""
+convolution, the adjoint identity (also over leading warden/batch axes),
+Doppler rotation and tap statistics."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertsim.channel import (
     ChannelConfig,
@@ -97,6 +100,29 @@ def test_propagate_adjoint_identity():
     lhs = np.sum(np.conj(propagate(s, taps)) * g)
     rhs = np.sum(np.conj(s) * propagate_adjoint(g, taps))
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 5), batch=st.integers(1, 6), n=st.integers(4, 12),
+       n_taps=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_propagate_leading_axes_match_per_row_loop(k, batch, n, n_taps, seed):
+    gen = np.random.default_rng(seed)
+
+    def cgn(*shape):
+        return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+
+    s, g, taps = cgn(batch, n), cgn(k, batch, n), cgn(k, batch, n_taps)
+    y = propagate(s, taps)  # one batch through K per-warden channels
+    adj = propagate_adjoint(g, taps)
+    assert y.shape == adj.shape == (k, batch, n)
+    for i in range(k):
+        for j in range(batch):
+            np.testing.assert_array_equal(y[i, j], propagate(s[j], taps[i, j]))
+            np.testing.assert_array_equal(adj[i, j], propagate_adjoint(g[i, j], taps[i, j]))
+    # <A s, g> == <s, A^H g> warden by warden
+    lhs = np.sum(np.conj(y) * g, axis=(1, 2))
+    rhs = np.sum(np.conj(s) * adj, axis=(1, 2))
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
 def test_propagate_adjoint_hand_value():

@@ -166,6 +166,24 @@ def test_eval_checkpoint_without_config(tmp_path):
                  "--out", str(out)]) == EXIT_OK
 
 
+def test_eval_without_config_uses_the_saved_config(tmp_path):
+    cfg, path = _tiny_config(tmp_path, target_pf=0.05, eval_snr_db=10.0, trials=300)
+    out = tmp_path / "runs"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    ckpt = out / f"ckpt_{cfg.digest()}_s0.npz"
+    evals = tmp_path / "evals"
+    assert main(["eval", str(ckpt), "--out", str(evals)]) == EXIT_OK
+    manifest = json.loads((evals / f"manifest_eval_{cfg.digest()}.json").read_text())
+    assert manifest["config_digest"] == cfg.digest()
+    saved = manifest["config"]
+    assert (saved["scenario"], saved["target_pf"], saved["eval_snr_db"], saved["trials"]) == (
+        "custom", 0.05, 10.0, 300)
+    with open(evals / f"metrics_{cfg.digest()}_s0.csv") as fh:
+        rows = {r["metric"]: float(r["value"]) for r in csv.DictReader(fh)}
+    # thresholds were calibrated at the saved target_pf, not the default 0.1
+    assert rows["pf_warden_0"] == pytest.approx(0.05, abs=1e-3)
+
+
 def test_checkpoint_scenario_mismatch_is_validation_error(tmp_path):
     cfg, path = _tiny_config(tmp_path)
     out = tmp_path / "runs"

@@ -1,9 +1,12 @@
 """Tests for the dense network stack: activations, initialization,
 finite-difference gradient oracles, dropout, Adam against a hand-computed
-first step, losses and checkpoint round trips."""
+first step, K-stacked nets against K separate ones, losses and checkpoint
+round trips."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertsim.neuralnet import (
     AdamState,
@@ -259,6 +262,94 @@ def test_adam_step_applies_to_net():
     assert not np.allclose(before, after)
     nonzero = DenseNet.grads_flat(grads) != 0
     assert np.max(np.abs(after - before)[nonzero]) <= 1e-3 + 1e-9
+
+
+def _adam_reference(params, grads_seq, lr=1e-3, beta1=0.5, beta2=0.999, eps=1e-8):
+    """Out-of-place textbook Adam, one fresh array per step."""
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    for t, g in enumerate(grads_seq, start=1):
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g ** 2
+        m_hat = m / (1 - beta1 ** t)
+        v_hat = v / (1 - beta2 ** t)
+        params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return params
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_in_place_adam_matches_out_of_place(k, steps, seed):
+    gen = np.random.default_rng(seed)
+    net = DenseNet.stack([_small_net() for _ in range(k)])
+    start = gen.standard_normal(net.params.shape)
+    net.set_flat(start)
+    grads_seq = [gen.standard_normal(net.params.shape) * 10.0 ** gen.integers(-6, 3)
+                 for _ in range(steps)]
+    adam = AdamState(net.params.shape, lr=1e-3)
+    copy = AdamState(net.params.shape, lr=1e-3)
+    stepped = start
+    for g in grads_seq:
+        adam_step(adam, net, g)
+        stepped = copy.step(stepped, g)
+    np.testing.assert_array_equal(net.params, stepped)
+    np.testing.assert_array_equal(net.params, _adam_reference(start, grads_seq))
+    # the (K, P) stack steps each row exactly as its own Adam would
+    for i in range(k):
+        np.testing.assert_array_equal(
+            net.params[i], _adam_reference(start[i], [g[i] for g in grads_seq]))
+
+
+# ---------------------------------------------------------------------------
+# K-stacked nets
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 5), batch=st.integers(1, 12),
+       hidden=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       acts=st.lists(st.sampled_from(["relu", "leaky-relu", "sigmoid", "tanh", "linear"]),
+                     min_size=4, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_net_matches_separate_nets(k, batch, hidden, acts, seed):
+    dims = [5, *hidden, 2]
+    specs = [LayerSpec(a, b, act) for a, b, act in zip(dims, dims[1:], acts)]
+    nets = [DenseNet(specs, RngStream(seed, i)) for i in range(k)]
+    stacked = DenseNet.stack(nets)
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((k, batch, 5))
+    g_out = gen.standard_normal((k, batch, 2))
+    out, cache = stacked.forward(x, train=True)
+    grads, g_in = stacked.backward(cache, g_out)
+    assert grads.shape == stacked.params.shape
+    for i, (net, row) in enumerate(zip(nets, stacked.rows())):
+        np.testing.assert_array_equal(row.params, net.params)
+        ref, ref_cache = net.forward(x[i], train=True)
+        ref_grads, ref_g_in = net.backward(ref_cache, g_out[i])
+        np.testing.assert_array_equal(out[i], ref)
+        np.testing.assert_array_equal(stacked.forward(x)[0][i], net.forward(x[i])[0])
+        np.testing.assert_array_equal(grads[i], ref_grads)
+        np.testing.assert_array_equal(g_in[i], ref_g_in)
+
+
+def test_stacked_rows_share_the_stack_buffer():
+    stacked = DenseNet.stack([_small_net(), _small_net(out_act="linear")])
+    row = stacked.rows()[1]
+    row.weights[0][0, 0] = 7.0
+    row.set_flat(row.get_flat() * 2.0)
+    assert stacked.weights[0][1, 0, 0] == 14.0
+    stacked.clip_weights(0.5)
+    assert row.weights[0][0, 0] == 0.5
+    with pytest.raises(ShapeError):
+        DenseNet.stack([_small_net(), DenseNet([LayerSpec(3, 2)], RngStream(0))])
+
+
+def test_weights_are_views_of_params():
+    net = _small_net()
+    for w, b in zip(net.weights, net.biases):
+        assert np.shares_memory(w, net.params) and np.shares_memory(b, net.params)
+    flat = net.get_flat()
+    flat[0] = 99.0
+    assert net.params[0] != 99.0  # get_flat is a copy
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Pins a short urban training run and its evaluation to recorded values.
+"""Pins short training runs (urban, 6g-dense, wasserstein urban) and their
+evaluation to recorded values.
 
 The acceptance determinism gate replays a run within one process, so it
 cannot see a change that reorders the random draws; these literals can.
@@ -54,3 +55,89 @@ def test_urban_seed0_numbers_are_pinned():
         [0.15333333333333332, 0.1, 0.9961784936323235,
          0.13666666666666666, 0.1, 0.9751021550488675,
          0.14, 0.1, 0.9238161752412325], rel=REL)
+
+
+def _short_run(preset, loss_mode):
+    cfg = TrainConfig(iterations=4, batch=16, disc_warmup=2, snapshot_every=2,
+                      snapshot_trials=128, loss_mode=loss_mode)
+    system, log = train(cfg, get_preset(preset), RngStream(0))
+    return log, evaluate_system(system, 300, RngStream(0, 7))
+
+
+def test_6g_dense_seed0_numbers_are_pinned():
+    # five correlated wardens: the widest stack and the shared-fading tap draw
+    log, report = _short_run("6g-dense", "standard")
+    assert log.gen_loss == pytest.approx(
+        [0.5063184772305276, 0.5793815058885017, 0.5979476525617214,
+         0.6190494859761112], rel=REL)
+    assert log.covert_loss == pytest.approx(
+        [-0.678848449949707, -0.6691241588104286, -0.673588947891906,
+         -0.649040129171386], rel=REL)
+    assert log.decode_mse == pytest.approx(
+        [1.1851669271802345, 1.2485056646989303, 1.2715366004536275,
+         1.2680896151474972], rel=REL)
+    assert [v for row in log.disc_loss for v in row] == pytest.approx(
+        [-1.4673928521546775, -1.363838891817574, -1.3635566409276,
+         -1.479904998948547, -1.4006284775785596, -1.3487314423939467,
+         -1.4279742149841572, -1.4244767615463827, -1.3391679842178852,
+         -1.3954854483788952, -1.392209969841173, -1.4235235943814877,
+         -1.3990914153238114, -1.441764612383915, -1.3665065630983668,
+         -1.3932321115646367, -1.3995631536368927, -1.3877978897120762,
+         -1.3564008169089607, -1.3656800374803382], rel=REL)
+    assert log.covert_metric == pytest.approx(
+        [0.4854737559300041, 0.4818758688647585, 0.4849160270593467,
+         0.4735272558907598], rel=REL)
+
+    snaps = [(s["iteration"], s["csr"], s["ber"], *s["pd_learned"]) for s in log.snapshots]
+    assert snaps == [
+        (0, 0.3984375, 0.5029296875, 0.171875, 0.1171875, 0.1796875, 0.09375, 0.2109375),
+        (2, 0.4296875, 0.4873046875, 0.1640625, 0.1171875, 0.1640625, 0.1328125, 0.203125),
+        (4, 0.4140625, 0.5166015625, 0.15625, 0.1484375, 0.1875, 0.1796875, 0.1640625),
+    ]
+
+    assert report.csr == pytest.approx(0.48333333333333334, rel=REL)
+    assert report.ber == pytest.approx(0.47708333333333336, rel=REL)
+    per_warden = [v for w in report.per_warden for v in (w.pd, w.pf, w.pd_lrt)]
+    assert per_warden == pytest.approx(
+        [0.13666666666666666, 0.1, 0.9808089765009046,
+         0.15, 0.1, 0.9745116697207419,
+         0.16, 0.1, 0.97753629849428,
+         0.13, 0.1, 0.9803473763067391,
+         0.17, 0.1, 0.9806217751123241], rel=REL)
+
+
+def test_urban_wasserstein_seed0_numbers_are_pinned():
+    # linear critics with weight clipping after every step
+    log, report = _short_run("urban", "wasserstein")
+    assert log.gen_loss == pytest.approx(
+        [1.0737661598578152, 1.3063221324873142, 1.2666207122808766,
+         1.5386141446840922], rel=REL)
+    assert log.covert_loss == pytest.approx(
+        [0.0042088677613995595, 0.004354862395449494, 0.005894690361795851,
+         0.005764418155579959], rel=REL)
+    assert log.decode_mse == pytest.approx(
+        [1.0695572920964156, 1.3019672700918647, 1.2607260219190808,
+         1.5328497265285121], rel=REL)
+    assert [v for row in log.disc_loss for v in row] == pytest.approx(
+        [0.0002946217470541786, 0.00042172606982341905, -0.0002521123815968952,
+         -0.0001035485293215347, 0.0009265951736799585, -4.1746428335345115e-05,
+         0.0012021212223634172, 0.0009881296147564445, -0.0009309808684777885,
+         0.0008195519985479287, 0.001508191070424489, 0.0010807630675353898], rel=REL)
+    assert log.covert_metric == pytest.approx(
+        [-0.00420886776139956, -0.004354862395449494, -0.005894690361795852,
+         -0.005764418155579959], rel=REL)
+
+    snaps = [(s["iteration"], s["csr"], s["ber"], *s["pd_learned"]) for s in log.snapshots]
+    assert snaps == [
+        (0, 0.4609375, 0.505859375, 0.3125, 0.1796875, 0.171875),
+        (2, 0.46875, 0.490234375, 0.296875, 0.1328125, 0.1796875),
+        (4, 0.546875, 0.537109375, 0.2734375, 0.1171875, 0.2109375),
+    ]
+
+    assert report.csr == pytest.approx(0.5366666666666666, rel=REL)
+    assert report.ber == pytest.approx(0.4795833333333333, rel=REL)
+    per_warden = [v for w in report.per_warden for v in (w.pd, w.pf, w.pd_lrt)]
+    assert per_warden == pytest.approx(
+        [0.23666666666666666, 0.1, 0.9961889834119688,
+         0.17, 0.1, 0.975188173685455,
+         0.12, 0.1, 0.9239930626350694], rel=REL)
