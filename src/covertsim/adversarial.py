@@ -533,6 +533,7 @@ def train(cfg: TrainConfig, scenario: ScenarioPreset, rng: RngStream,
     for step in range(1, cfg.disc_warmup + 1):
         m, z, w_taps, w_noise, w_noise0, _, _ = sample_round(cfg.batch)
         s, _ = generate_signal(system, m, z)
+        _require_finite(s, ["generator"], "signal", f"warm-up step {step}")
         y1 = propagate(s, w_taps) + w_noise
         _disc_update(system.wardens, adam_d, w_noise0, y1, cfg.loss_mode, cfg.clip, gen,
                      f"warm-up step {step}")
@@ -548,12 +549,14 @@ def train(cfg: TrainConfig, scenario: ScenarioPreset, rng: RngStream,
         m, z, w_taps, w_noise, w_noise0, b_taps, b_noise = sample_round(cfg.batch)
 
         s, _ = generate_signal(system, m, z)
+        _require_finite(s, ["generator"], "signal", f"iteration {it}")
         y1 = propagate(s, w_taps) + w_noise
         d_losses = _disc_update(system.wardens, adam_d, w_noise0, y1, cfg.loss_mode,
                                 cfg.clip, gen, f"iteration {it}").tolist()
 
         loss, covert, mse, g_grads, dec_grads, d1_means = generator_loss(
             system, m, z, w_taps, w_noise, b_taps, b_noise, mu=cfg.mu, rng=gen)
+        _require_finite(mse, ["decoder"], "decode MSE", f"iteration {it}")
         if not np.isfinite(loss):
             raise RuntimeError(
                 f"non-finite generator loss at iteration {it}: "

@@ -234,11 +234,17 @@ def test_train_system_mode_mismatch():
         train(cfg, make_scenario(1), RngStream(0), system=system)
 
 
-def test_non_finite_discriminator_is_named():
+@pytest.mark.parametrize("net,message", [
+    ("disc_1", "discriminator loss of disc_1 at warm-up step 1"),
+    ("generator", "signal of generator at warm-up step 1"),
+    ("decoder", "decode MSE of decoder at iteration 1"),
+])
+def test_non_finite_net_is_named(net, message):
     scen = make_scenario(3)
     system = build_system(TINY_SPEC, scen, RngStream(0))
-    system.discriminators[1].weights[0][0, 0] = np.nan
-    with pytest.raises(RuntimeError, match="disc_1 at warm-up step 1"):
+    target = system.discriminators[1] if net == "disc_1" else getattr(system, net)
+    target.weights[0][0, 0] = np.nan
+    with pytest.raises(RuntimeError, match=message):
         train(TrainConfig(**TINY_CFG), scen, RngStream(0), system=system)
 
 
