@@ -21,7 +21,6 @@ from .neuralnet import (
     LayerSpec,
     adam_step,
     bce_loss,
-    log_clamped,
     mse_loss,
 )
 from .numerics import DomainError, RngStream, from_reim, sample_awgn, to_reim
@@ -76,6 +75,12 @@ class TrainConfig:
             raise ConfigError(f"unknown loss mode {self.loss_mode!r}")
         if self.loss_mode == "wasserstein" and self.clip <= 0:
             raise ConfigError("wasserstein mode needs a positive clip bound")
+        if not (0.0 < self.target_pf < 1.0):
+            raise ConfigError(f"target_pf must be in (0,1), got {self.target_pf}")
+        if self.snapshot_every < 0:
+            raise ConfigError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
+        if self.snapshot_every and self.snapshot_trials < 1:
+            raise ConfigError("snapshot_trials must be >= 1 while snapshots are on")
 
 
 @dataclass
@@ -109,7 +114,7 @@ class System:
     """Trained (or in-training) nets plus the scenario they were built for.
 
     The K discriminators are one stacked net, ``wardens``; ``discriminators``
-    lists views of its rows, and assigning a list copies it into a new stack.
+    lists views of its rows.
     """
 
     generator: DenseNet
@@ -124,10 +129,6 @@ class System:
     @property
     def discriminators(self) -> list[DenseNet]:
         return self.wardens.rows()
-
-    @discriminators.setter
-    def discriminators(self, nets: list[DenseNet]) -> None:
-        self.wardens = DenseNet.stack(nets)
 
 
 def snr_db_to_bob_sigma2(power: float, snr_db: float) -> float:
@@ -241,9 +242,14 @@ def signal_gradient_to_generator(system: System, grad_s: np.ndarray, aux):
 # channel sampling for training batches
 # ---------------------------------------------------------------------------
 
+def sample_messages(spec: GeneratorSpec, gen: np.random.Generator, count: int) -> np.ndarray:
+    """Draw (count, bits) equiprobable +-1 messages."""
+    return np.sign(gen.standard_normal((count, spec.message_bits)) + 1e-12)
+
+
 def sample_latents(spec: GeneratorSpec, gen: np.random.Generator, count: int):
     """Draw (count, bits) +-1 messages and (count, noise_dim) generator latents."""
-    m = np.sign(gen.standard_normal((count, spec.message_bits)) + 1e-12)
+    m = sample_messages(spec, gen, count)
     return m, gen.standard_normal((count, spec.noise_dim))
 
 
@@ -278,18 +284,6 @@ def sample_bob_taps(scenario: ScenarioPreset, batch: int, gen: np.random.Generat
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
-
-def discriminator_loss(disc: DenseNet, noise_batch: np.ndarray,
-                       signal_batch: np.ndarray) -> float:
-    """Value the discriminator ascends: E[log D(n)] + E[log(1 - D(y1))].
-
-    Batches are complex slot signals; maximal value 0 for a perfect
-    (post-clamp) discriminator, 2 log 0.5 for an uninformative one.
-    """
-    d0, _ = disc.forward(to_reim(noise_batch))
-    d1, _ = disc.forward(to_reim(signal_batch))
-    return float(np.mean(log_clamped(d0)) + np.mean(np.log(np.clip(1.0 - d1, _CLAMP, 1.0))))
-
 
 def generator_loss(system: System, m, z, warden_taps, warden_noise,
                    bob_taps, bob_noise, mu: float = 1.0,
@@ -335,24 +329,6 @@ def generator_loss(system: System, m, z, warden_taps, warden_noise,
     return loss, covert, mse, gen_grads, dec_grads, d1_means.tolist()
 
 
-def wasserstein_losses(system: System, noise_batch: np.ndarray,
-                       signal_batches: list[np.ndarray]):
-    """Critic and generator objective values in wasserstein mode.
-
-    Returns (critic_objectives per warden, generator_objective).
-    """
-    if system.loss_mode != "wasserstein":
-        raise ConfigError("wasserstein_losses requires a wasserstein-mode system")
-    critic_objs = []
-    gen_obj = 0.0
-    for disc, y1 in zip(system.discriminators, signal_batches):
-        c0, _ = disc.forward(to_reim(noise_batch))
-        c1, _ = disc.forward(to_reim(y1))
-        critic_objs.append(float(np.mean(c0) - np.mean(c1)))
-        gen_obj += float(np.mean(c1))
-    return critic_objs, gen_obj
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo detection and BER
 # ---------------------------------------------------------------------------
@@ -379,7 +355,8 @@ def warden_detection(system: System, s: np.ndarray, gen: np.random.Generator,
     Each learned discriminator is thresholded at the target false-alarm
     rate on calib fresh H0 slots; pd_lrt is the genie-LRT bound on the
     same H1 cases. Taps, H1 noise and H0 noise are drawn from gen in
-    that order, warden by warden.
+    that order, warden by warden. The wardens run one at a time: stacking
+    the calib-row H0 sets would multiply the peak activation memory by K.
     """
     scen = system.scenario
     trials, n = s.shape
@@ -455,10 +432,10 @@ def _require_finite(value: np.ndarray, names: list[str], what: str, where: str) 
 def _disc_update(disc: DenseNet, adam: AdamState, y0: np.ndarray, y1: np.ndarray,
                  loss_mode: str, clip: float, rng: np.random.Generator,
                  where: str) -> np.ndarray:
-    """One ascent step on the warden objective; returns the logged value.
+    """One ascent step of K stacked wardens on (K, B, N) H0/H1 batches y0/y1.
 
-    y0/y1 are (B, N) H0/H1 batches for one net, or (K, B, N) for K stacked
-    nets, which then log one value each.
+    Returns the K objective values before the step: E[log D(y0)] +
+    E[log(1 - D(y1))] under the loss clamp, or mean c(y0) - mean c(y1).
     """
     x = np.concatenate([to_reim(y0), to_reim(y1)], axis=-2)
     out, cache = disc.forward(x, train=True, rng=rng)
@@ -477,8 +454,7 @@ def _disc_update(disc: DenseNet, adam: AdamState, y0: np.ndarray, y1: np.ndarray
         p1 = np.clip(out[..., b0:, 0], _CLAMP, 1 - _CLAMP)
         value = np.mean(np.log(p0), axis=-1) + np.mean(np.log(1 - p1), axis=-1)
     grads, _ = disc.backward(cache, gout)
-    names = ([f"disc_{i}" for i in range(len(disc.params))] if disc.params.ndim == 2
-             else ["disc"])
+    names = [f"disc_{i}" for i in range(len(disc.params))]
     _require_finite(value, names, "discriminator loss", where)
     _require_finite(grads, names, "gradient", where)
     adam_step(adam, disc, grads)
@@ -604,33 +580,32 @@ def adaptive_warden_loop(system: System, rng: RngStream, period: int = 1000,
     gen = rng.generator()
     spec = system.gen_spec
     scen = system.scenario
-    wardens = []
-    for d in system.discriminators:
-        fresh = DenseNet(d.specs, gen)
-        fresh.weights[-1][:] = 0.0
-        wardens.append(fresh)
-    buffers: list[list[np.ndarray]] = [[] for _ in range(scen.k)]
-    adams = [AdamState(d.param_count(), lr=lr, beta1=0.5) for d in wardens]
+    wardens = DenseNet.stack([DenseNet(system.wardens.specs, gen) for _ in range(scen.k)])
+    wardens.weights[-1][:] = 0.0
+    adam = AdamState(wardens.params.shape, lr=lr, beta1=0.5)
+    seen: list[np.ndarray] = []  # (K, batch, N) observations, oldest first
     metric = np.zeros(total)
     for it in range(total):
         m, z = sample_latents(spec, gen, batch)
         s, _ = generate_signal(system, m, z)
         taps = sample_warden_taps(scen, batch, gen)
-        vals = []
-        for i, disc in enumerate(wardens):
-            y1 = propagate(s, taps[i]) + sample_awgn(spec.n, scen.warden_sigma2[i], gen,
-                                                     count=batch)
-            vals.append(float(np.mean(disc.forward(to_reim(y1))[0])))
-            buffers[i].append(y1)
-        metric[it] = np.mean(vals)
+        noise = np.stack([sample_awgn(spec.n, v, gen, count=batch)
+                          for v in scen.warden_sigma2])
+        y1 = propagate(s, taps) + noise
+        seen.append(y1)
+        metric[it] = np.mean(np.mean(wardens.forward(to_reim(y1))[0][..., 0], axis=-1))
         if (it + 1) % period == 0:
-            for i, disc in enumerate(wardens):
-                seen = np.concatenate(buffers[i], axis=0)[-window:]
+            rows = np.concatenate(seen, axis=1)[:, -window:]
+            seen = [rows]
+            # every warden's batches are drawn before any step, warden by warden
+            draws = []
+            for i, sigma2 in enumerate(scen.warden_sigma2):
                 for _ in range(retrain_steps):
-                    pick = gen.integers(0, seen.shape[0], size=min(64, seen.shape[0]))
-                    y1 = seen[pick] * np.exp(2j * np.pi * gen.random((pick.size, 1)))
-                    y0 = sample_awgn(spec.n, scen.warden_sigma2[i], gen, count=pick.size)
-                    _disc_update(disc, adams[i], y0, y1, system.loss_mode, 0.05, gen,
-                                 f"adaptive retraining of warden {i}")
-                buffers[i] = [seen]
+                    pick = gen.integers(0, rows.shape[1], size=min(64, rows.shape[1]))
+                    y1 = rows[i, pick] * np.exp(2j * np.pi * gen.random((pick.size, 1)))
+                    draws.append((sample_awgn(spec.n, sigma2, gen, count=pick.size), y1))
+            for j in range(retrain_steps):
+                y0, y1 = (np.stack(batches) for batches in zip(*draws[j::retrain_steps]))
+                _disc_update(wardens, adam, y0, y1, system.loss_mode, 0.05, gen,
+                             f"adaptive retraining after iteration {it + 1}")
     return metric

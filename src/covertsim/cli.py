@@ -23,8 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, scenarios
-from .adversarial import ConfigError, GeneratorSpec, System, TrainConfig, build_system, train
-from .neuralnet import load_checkpoint, save_checkpoint
+from .adversarial import (
+    ConfigError,
+    GeneratorSpec,
+    System,
+    TrainConfig,
+    build_system,
+    sample_messages,
+    train,
+)
+from .neuralnet import DenseNet, load_checkpoint, save_checkpoint
 from .numerics import DomainError, RngStream
 
 EXIT_OK = 0
@@ -98,8 +106,8 @@ class RunConfig:
                 raise ValidationError(f"[{section}] {exc}") from None
         if self.n % self.message_bits != 0:
             raise ValidationError("n: must be a multiple of message_bits")
-        if self.trials < 1:
-            raise ValidationError("trials: must be >= 1")
+        if self.trials < 100:
+            raise ValidationError("trials: the evaluator needs at least 100")
 
     def save(self, path) -> None:
         parser = configparser.ConfigParser()
@@ -250,7 +258,7 @@ def _system_from_checkpoint(path, cfg: RunConfig | None = None) -> System:
         raise ValidationError("checkpoint generator shape does not match the config")
     system.generator = nets["generator"]
     system.decoder = nets["decoder"]
-    system.discriminators = [nets[f"disc_{i}"] for i in range(k)]
+    system.wardens = DenseNet.stack([nets[f"disc_{i}"] for i in range(k)])
     return system
 
 
@@ -287,12 +295,13 @@ def cmd_eval(args) -> int:
         cfg = _saved_config(load_checkpoint(args.checkpoint)[1])
     if args.seed is not None:
         cfg.seed = args.seed
+    if args.trials is not None:
+        cfg.trials = args.trials
     cfg.validate()
     system = _system_from_checkpoint(args.checkpoint, cfg)
-    trials = args.trials or cfg.trials
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = evaluation.evaluate_system(system, trials, RngStream(cfg.seed, 7),
+    report = evaluation.evaluate_system(system, cfg.trials, RngStream(cfg.seed, 7),
                                         target_pf=cfg.target_pf, snr_db=cfg.eval_snr_db)
     rows = _report_rows(report, "proposed")
     path = out_dir / f"metrics_{cfg.digest()}_s{cfg.seed}.csv"
@@ -301,8 +310,8 @@ def cmd_eval(args) -> int:
         writer.writerow(CSV_HEADER)
         writer.writerows(rows)
     _write_manifest(out_dir, cfg, "eval", [cfg.seed])
-    if trials < 1000:
-        print(f"warning: low-precision report (trials={trials})", file=sys.stderr)
+    if cfg.trials < 1000:
+        print(f"warning: low-precision report (trials={cfg.trials})", file=sys.stderr)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -358,7 +367,7 @@ def cmd_baseline(args) -> int:
         tx = evaluation.NoiseInjectionTransmitter(args.alpha, spec)
         gen = rng.child(1).generator()
         trials = cfg.trials
-        m = np.sign(gen.standard_normal((trials, spec.message_bits)) + 1e-12)
+        m = sample_messages(spec, gen, trials)
         s = tx.generate(m, gen)
         pds = evaluation.lrt_detection_for_signals(s, scen, rng.child(2),
                                                    target_pf=cfg.target_pf)

@@ -26,9 +26,6 @@ class LrtWarden:
     sigma2: float
     threshold: float
 
-    def decide(self, y: np.ndarray) -> bool:
-        return lrt_statistic(y, self.known_x) > self.threshold
-
 
 @dataclass
 class DetectionReport:
@@ -81,15 +78,16 @@ def analytic_pd(gamma: float, x: np.ndarray, sigma2: float) -> float:
     return q_function(arg)
 
 
-def pd_at_target_pf(x_energy, sigma2: float, target_pf: float):
+def pd_at_target_pf(x_energy, sigma2, target_pf: float):
     """Detection probability of the genie LRT calibrated to the given P_F.
 
     Follows from the H0/H1 Gaussian statistics of T:
     P_D = Q(Q^-1(P_F) - sqrt(2 ||x||^2 / sigma2)).
-    Accepts scalar or array x_energy (zero energy degrades to pd = pf).
+    Accepts scalar or array x_energy (zero energy degrades to pd = pf), and
+    a sigma2 that broadcasts against it, e.g. a (K, 1) column per warden.
     """
     arr = np.asarray(x_energy, dtype=float)
-    if np.any(arr < 0) or sigma2 <= 0:
+    if np.any(arr < 0) or np.any(np.asarray(sigma2) <= 0):
         raise DomainError("x_energy must be >= 0 and sigma2 > 0")
     arg = q_inverse(target_pf) - np.sqrt(2.0 * arr / sigma2)
     pd = 0.5 * special.erfc(arg / np.sqrt(2.0))
@@ -143,18 +141,7 @@ def monte_carlo_roc(warden: LrtWarden, cfg: ChannelConfig, s: np.ndarray,
         raise DomainError(f"trials must be >= 1, got {trials}")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     n = len(s)
-
-    if fixed_taps is not None:
-        x = propagate(s, fixed_taps)
-        noise0 = sample_awgn(n, cfg.noise_variance, gen, count=trials)
-        noise1 = sample_awgn(n, cfg.noise_variance, gen, count=trials)
-        t0 = 2.0 * np.real(noise0 @ np.conj(x))
-        t1 = 2.0 * np.real((x[None, :] + noise1) @ np.conj(x))
-        pf = float(np.mean(t0 > warden.threshold))
-        pd = float(np.mean(t1 > warden.threshold))
-        return DetectionReport(pd=pd, pf=pf, trials=trials)
-
-    taps = sample_taps(cfg, gen, count=trials)
+    taps = sample_taps(cfg, gen, count=trials) if fixed_taps is None else fixed_taps
     x = propagate(np.broadcast_to(s, (trials, n)), taps)
     noise0 = sample_awgn(n, cfg.noise_variance, gen, count=trials)
     noise1 = sample_awgn(n, cfg.noise_variance, gen, count=trials)

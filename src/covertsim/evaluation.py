@@ -25,6 +25,7 @@ from .adversarial import (
     generate_signal,
     sample_bob_taps,
     sample_latents,
+    sample_messages,
     sample_warden_taps,
     snr_db_to_bob_sigma2,
     train,
@@ -32,6 +33,7 @@ from .adversarial import (
 )
 from .channel import propagate
 from .detection import pd_at_target_pf
+from .neuralnet import DenseNet
 from .numerics import DomainError, RngStream, sample_awgn
 from .scenarios import ScenarioPreset
 
@@ -81,15 +83,11 @@ def measure_detection(system: System, trials: int, rng: RngStream,
 
 def lrt_detection_for_signals(s: np.ndarray, scenario: ScenarioPreset,
                               rng: RngStream, target_pf: float = 0.1) -> list[float]:
-    """Mean per-case genie-LRT pd for an arbitrary batch of signals."""
-    gen = rng.generator()
-    taps = sample_warden_taps(scenario, s.shape[0], gen)
-    out = []
-    for i in range(scenario.k):
-        ex = np.sum(np.abs(propagate(s, taps[i])) ** 2, axis=1)
-        out.append(float(np.mean(pd_at_target_pf(ex,
-                                                 scenario.warden_sigma2[i], target_pf))))
-    return out
+    """Mean per-case genie-LRT pd at each warden for an arbitrary batch of signals."""
+    taps = sample_warden_taps(scenario, s.shape[0], rng.generator())
+    ex = np.sum(np.abs(propagate(s, taps)) ** 2, axis=-1)  # (K, trials)
+    sigma2 = np.asarray(scenario.warden_sigma2)[:, None]
+    return np.mean(pd_at_target_pf(ex, sigma2, target_pf), axis=-1).tolist()
 
 
 def measure_ber(system: System, snr_grid_db: list[float], trials: int,
@@ -182,7 +180,7 @@ def noise_injection_ber(tx: NoiseInjectionTransmitter, scenario: ScenarioPreset,
     gen = rng.generator()
     spec = tx.spec
     sigma_b2 = snr_db_to_bob_sigma2(spec.power, snr_db)
-    m = np.sign(gen.standard_normal((trials, spec.message_bits)) + 1e-12)
+    m = sample_messages(spec, gen, trials)
     s = tx.generate(m, gen)
     taps = sample_bob_taps(scenario, trials, gen)
     y = propagate(s, taps) + sample_awgn(spec.n, sigma_b2, gen, count=trials)
@@ -216,7 +214,7 @@ def single_discriminator_baseline(cfg: TrainConfig, scenario: ScenarioPreset,
     trained discriminator serves as the detector at every warden)."""
     system, log = train(cfg, scenario.averaged(), rng, gen_spec=gen_spec)
     system.scenario = scenario
-    system.discriminators = system.discriminators * scenario.k
+    system.wardens = DenseNet.stack(system.discriminators * scenario.k)
     system.lambdas = np.full(scenario.k, 1.0 / scenario.k)
     return system, log
 
@@ -266,7 +264,7 @@ def run_sweeps(which: str, cfg: TrainConfig, rng: RngStream,
                                                 cfg.train_snr_db, trials,
                                                 rng.child(2000 + k))
             gen = rng.child(3000 + k).generator()
-            m = np.sign(gen.standard_normal((trials, gen_spec.message_bits)) + 1e-12)
+            m = sample_messages(gen_spec, gen, trials)
             s = tx.generate(m, gen)
             pds = lrt_detection_for_signals(s, scen, rng.child(4000 + k))
             points.append(SweepPoint("noise-injection", scen.name, k, "mean_pd", k,
@@ -305,7 +303,7 @@ def run_sweeps(which: str, cfg: TrainConfig, rng: RngStream,
                                      w.pd, _binom_se(w.pd, trials), seed))
         tx = NoiseInjectionTransmitter(0.5, gen_spec)
         gen = rng.child(3).generator()
-        m = np.sign(gen.standard_normal((trials, gen_spec.message_bits)) + 1e-12)
+        m = sample_messages(gen_spec, gen, trials)
         s = tx.generate(m, gen)
         for i, pd in enumerate(lrt_detection_for_signals(s, scen, rng.child(4))):
             points.append(SweepPoint("noise-injection", scen.name, scen.k, "pd", i,

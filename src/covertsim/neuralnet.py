@@ -306,11 +306,6 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
     return float(np.mean(diff ** 2)), 2.0 * diff / diff.size
 
 
-def log_clamped(pred: np.ndarray) -> np.ndarray:
-    """log(pred) with the same clamp the losses use, safe at 0 and 1."""
-    return np.log(np.clip(pred, _EPS_CLAMP, 1.0 - _EPS_CLAMP))
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from covertsim.adversarial import (
+    AdamState,
     ConfigError,
     GeneratorSpec,
     TrainConfig,
+    _disc_update,
     adaptive_warden_loop,
     build_system,
-    discriminator_loss,
     generate_signal,
     generator_loss,
     project_power,
@@ -21,7 +22,6 @@ from covertsim.adversarial import (
     snapshot_metrics,
     snr_db_to_bob_sigma2,
     train,
-    wasserstein_losses,
 )
 from covertsim.numerics import DomainError, RngStream, from_reim, to_reim
 from covertsim.scenarios import get_preset, make_scenario
@@ -248,15 +248,26 @@ def test_non_finite_net_is_named(net, message):
         train(TrainConfig(**TINY_CFG), scen, RngStream(0), system=system)
 
 
-def test_discriminator_loss_range():
-    scen = make_scenario(1)
-    system = build_system(TINY_SPEC, scen, RngStream(0))
+@pytest.mark.parametrize("loss_mode", ["standard", "wasserstein"])
+def test_disc_update_returns_the_warden_objective(loss_mode):
+    system = build_system(TINY_SPEC, make_scenario(2), RngStream(0), loss_mode=loss_mode)
     gen = RngStream(1).generator()
-    noise = (gen.standard_normal((64, 8)) + 1j * gen.standard_normal((64, 8))) / np.sqrt(2)
-    val = discriminator_loss(system.discriminators[0], noise, noise)
-    # indistinguishable batches cannot beat the 2 log(1/2) bound by much
-    assert val <= 0.0
-    assert val >= 2 * np.log(1e-7)
+    y0, y1 = (gen.standard_normal((2, 2, 64, 8)) + 1j * gen.standard_normal((2, 2, 64, 8)))
+    # per-row verdicts before the step changes the wardens
+    c0, c1 = ([disc.forward(to_reim(y[i]))[0][:, 0] for i, disc in
+               enumerate(system.discriminators)] for y in (y0, y1))
+    adam = AdamState(system.wardens.params.shape, lr=1e-3)
+    value = _disc_update(system.wardens, adam, y0, y1, loss_mode, 0.05, gen, "test")
+    assert value.shape == (2,)
+    for i in range(2):
+        if loss_mode == "wasserstein":
+            expected = np.mean(c0[i]) - np.mean(c1[i])
+        else:
+            # indistinguishable batches cannot beat the 2 log(1/2) bound by much
+            assert 2 * np.log(1e-7) <= value[i] <= 0.0
+            expected = (np.mean(np.log(np.clip(c0[i], 1e-7, 1 - 1e-7)))
+                        + np.mean(np.log(1 - np.clip(c1[i], 1e-7, 1 - 1e-7))))
+        assert value[i] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_snapshot_metrics_fields():
@@ -281,26 +292,6 @@ def test_wasserstein_train_clips_critics():
         assert disc.specs[-1].activation == "linear"
         assert np.max(np.abs(disc.get_flat())) <= 0.05 + 1e-12
     assert np.all(np.isfinite(log.gen_loss))
-
-
-def test_wasserstein_losses_requires_mode():
-    system = build_system(TINY_SPEC, make_scenario(1), RngStream(0))
-    with pytest.raises(ConfigError):
-        wasserstein_losses(system, np.zeros((2, 8), dtype=complex),
-                           [np.zeros((2, 8), dtype=complex)])
-
-
-def test_wasserstein_losses_values():
-    system = build_system(TINY_SPEC, make_scenario(2), RngStream(0),
-                          loss_mode="wasserstein")
-    gen = RngStream(1).generator()
-    noise = (gen.standard_normal((32, 8)) + 1j * gen.standard_normal((32, 8)))
-    y1 = (gen.standard_normal((32, 8)) + 1j * gen.standard_normal((32, 8)))
-    critic_objs, gen_obj = wasserstein_losses(system, noise, [y1, y1])
-    assert len(critic_objs) == 2
-    c0 = np.mean(system.discriminators[0].forward(to_reim(noise))[0])
-    c1 = np.mean(system.discriminators[0].forward(to_reim(y1))[0])
-    assert critic_objs[0] == pytest.approx(float(c0 - c1))
 
 
 # ---------------------------------------------------------------------------

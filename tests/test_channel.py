@@ -4,7 +4,7 @@ Doppler rotation and tap statistics."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covertsim.channel import (
@@ -105,6 +105,8 @@ def test_propagate_adjoint_identity():
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(1, 5), batch=st.integers(1, 6), n=st.integers(4, 12),
        n_taps=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+# a one-sample slice (n - l == 1) multiplies 1 ulp differently when broadcast
+@example(k=1, batch=1, n=4, n_taps=4, seed=1087)
 def test_propagate_leading_axes_match_per_row_loop(k, batch, n, n_taps, seed):
     gen = np.random.default_rng(seed)
 
@@ -117,8 +119,10 @@ def test_propagate_leading_axes_match_per_row_loop(k, batch, n, n_taps, seed):
     assert y.shape == adj.shape == (k, batch, n)
     for i in range(k):
         for j in range(batch):
-            np.testing.assert_array_equal(y[i, j], propagate(s[j], taps[i, j]))
-            np.testing.assert_array_equal(adj[i, j], propagate_adjoint(g[i, j], taps[i, j]))
+            np.testing.assert_allclose(y[i, j], propagate(s[j], taps[i, j]),
+                                       rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(adj[i, j], propagate_adjoint(g[i, j], taps[i, j]),
+                                       rtol=1e-13, atol=1e-13)
     # <A s, g> == <s, A^H g> warden by warden
     lhs = np.sum(np.conj(y) * g, axis=(1, 2))
     rhs = np.sum(np.conj(s) * adj, axis=(1, 2))

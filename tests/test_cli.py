@@ -75,6 +75,10 @@ def test_power_dbm_to_linear():
     ({"loss_mode": "bogus"}, "loss mode"),
     ({"dropout": 1.5}, "dropout"),
     ({"scenario": "custom", "k": 2, "sigma2": (1.0,)}, "noise variances"),
+    ({"trials": 50}, "trials"),
+    ({"target_pf": 1.5}, "target_pf"),
+    ({"snapshot_every": -1}, "snapshot_every"),
+    ({"snapshot_trials": 0}, "snapshot_trials"),
 ])
 def test_validate_names_offending_field(overrides, needle):
     cfg = RunConfig(**overrides)
@@ -233,6 +237,16 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     _, path = _tiny_config(tmp_path, dropout=1.5)
     assert main(["train", "--config", str(path),
                  "--out", str(tmp_path)]) == EXIT_VALIDATION
+    # snapshot and detection settings the run cannot use, refused before training
+    for bad in ({"snapshot_trials": 0}, {"snapshot_every": -1}, {"target_pf": 1.5}):
+        _, path = _tiny_config(tmp_path, **bad)
+        assert main(["train", "--config", str(path),
+                     "--out", str(tmp_path)]) == EXIT_VALIDATION
+    # --trials is validated like the config's trials, before any checkpoint is read
+    _, path = _tiny_config(tmp_path)
+    for trials in ("50", "0"):
+        assert main(["eval", str(tmp_path / "none.npz"), "--config", str(path),
+                     "--trials", trials, "--out", str(tmp_path)]) == EXIT_VALIDATION
 
 
 def test_usage_error_on_unknown_subcommand():

@@ -1,5 +1,6 @@
 """Pins short training runs (urban, 6g-dense, wasserstein urban) and their
-evaluation to recorded values.
+evaluation, the adaptive wardens and the genie-LRT baseline to recorded
+values.
 
 The acceptance determinism gate replays a run within one process, so it
 cannot see a change that reorders the random draws; these literals can.
@@ -9,8 +10,8 @@ say so.
 
 import pytest
 
-from covertsim.adversarial import TrainConfig, train
-from covertsim.evaluation import evaluate_system
+from covertsim.adversarial import TrainConfig, adaptive_warden_loop, train
+from covertsim.evaluation import evaluate_system, lrt_detection_for_signals
 from covertsim.numerics import RngStream
 from covertsim.scenarios import get_preset
 
@@ -141,3 +142,27 @@ def test_urban_wasserstein_seed0_numbers_are_pinned():
         [0.23666666666666666, 0.1, 0.9961889834119688,
          0.17, 0.1, 0.975188173685455,
          0.12, 0.1, 0.9239930626350694], rel=REL)
+
+
+def test_urban_adaptive_wardens_are_pinned():
+    # retraining at iterations 3 and 6 replays a window shorter than the buffer
+    cfg = TrainConfig(iterations=4, batch=16, disc_warmup=2, snapshot_every=0)
+    system, _ = train(cfg, get_preset("urban"), RngStream(0))
+    metric = adaptive_warden_loop(system, RngStream(0, 60), period=3, window=8, total=8,
+                                  batch=4, retrain_steps=5)
+    assert metric.tolist() == pytest.approx(
+        [0.5, 0.5, 0.5, 0.4959723877208184, 0.4954486000101235, 0.49529244959779134,
+         0.4896249295889408, 0.48466551005586345], rel=REL)
+
+
+@pytest.mark.parametrize("target_pf,pds", [
+    (0.1, [0.7497366089601402, 0.7520723415076029, 0.7472220563351074,
+           0.7503425316512371, 0.7630563592865178]),
+    (0.05, [0.6428283298778733, 0.6486302473922844, 0.6394142370752941,
+            0.6452969332135552, 0.658749036825069]),
+])
+def test_6g_dense_lrt_baseline_is_pinned(target_pf, pds):
+    gen = RngStream(5).generator()
+    s = 0.1 * (gen.standard_normal((300, 32)) + 1j * gen.standard_normal((300, 32)))
+    assert lrt_detection_for_signals(s, get_preset("6g-dense"), RngStream(9),
+                                     target_pf=target_pf) == pytest.approx(pds, rel=REL)
