@@ -77,6 +77,12 @@ class TrainConfig:
             raise ConfigError("wasserstein mode needs a positive clip bound")
         if not (0.0 < self.target_pf < 1.0):
             raise ConfigError(f"target_pf must be in (0,1), got {self.target_pf}")
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if self.mu < 0:
+            raise ConfigError(f"mu must be >= 0, got {self.mu}")
+        if self.disc_warmup < 0:
+            raise ConfigError(f"disc_warmup must be >= 0, got {self.disc_warmup}")
         if self.snapshot_every < 0:
             raise ConfigError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
         if self.snapshot_every and self.snapshot_trials < 1:
@@ -311,7 +317,8 @@ def generator_loss(system: System, m, z, warden_taps, warden_noise,
         gp = np.where((p > _CLAMP) & (p < 1.0 - _CLAMP),
                       -lam / (1.0 - pc) / batch, 0.0)[..., None]
     covert = sum(covert_terms.tolist())
-    _, gin = system.wardens.backward(dcache, gp)
+    # only the input gradient: the wardens are not updated by this loss
+    _, gin = system.wardens.backward(dcache, gp, param_grads=False)
     # the K adjoints are summed in warden order
     grad_s = propagate_adjoint(from_reim(gin), warden_taps).sum(axis=0)
 

@@ -14,8 +14,10 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +31,6 @@ from .adversarial import (
     System,
     TrainConfig,
     build_system,
-    sample_messages,
     train,
 )
 from .neuralnet import DenseNet, load_checkpoint, save_checkpoint
@@ -316,6 +317,67 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _openblas(verb: str):
+    """numpy's bundled OpenBLAS ``{verb}_num_threads`` function, or None
+    where numpy bundles none (the lookup ``benchmarks/run.py`` uses)."""
+    import ctypes
+    import glob
+
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for lib in glob.glob(os.path.join(libdir, "*openblas*")):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for sym in (f"scipy_openblas_{verb}_num_threads64_",
+                    f"openblas_{verb}_num_threads64_", f"openblas_{verb}_num_threads"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.argtypes = [ctypes.c_int] if verb == "set" else []
+                fn.restype = None if verb == "set" else ctypes.c_int
+                return fn
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer. A forked worker inherits the parent's loaded
+    OpenBLAS, which no longer reads OPENBLAS_NUM_THREADS; two workers at
+    the default thread count would oversubscribe the CPUs several times."""
+    set_threads = _openblas("set")
+    if set_threads is not None:
+        set_threads(1)
+
+
+def _map_seeds(fn, seeds: list[int]) -> list:
+    """[fn(seed) for seed in seeds], on one forked worker per available CPU
+    (at most one per seed), each at one BLAS thread. Every seed has its own
+    RngStream, so the results equal a run in this process; with one worker,
+    or where fork is unavailable, it is one."""
+    import multiprocessing
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(seeds), cpus or 1)
+    # spawn would re-import numpy and scipy in every worker, about 0.4 s each;
+    # fork is safe here because OpenBLAS, the only other thread owner in
+    # this process, shuts its thread pool down at fork (pthread_atfork)
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(seed) for seed in seeds]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_one_blas_thread) as pool:
+        return list(pool.map(fn, seeds))
+
+
+def _sweep_rows(sweep: str, cfg: RunConfig, seed: int) -> list[list]:
+    """The CSV rows of one seed of a sweep."""
+    points = evaluation.run_sweeps(sweep, cfg.train_config(), RngStream(seed),
+                                   gen_spec=cfg.generator_spec(),
+                                   trials=min(cfg.trials, 2000))
+    return [[p.method, p.scenario, p.k, f"{p.metric}@{p.x:g}", p.value, p.stderr, p.seed]
+            for p in points]
+
+
 def cmd_sweep(args) -> int:
     cfg = RunConfig.load(args.config)
     cfg.validate()
@@ -326,14 +388,8 @@ def cmd_sweep(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.seed]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    all_rows = []
-    for seed in seeds:
-        points = evaluation.run_sweeps(args.sweep, cfg.train_config(),
-                                       RngStream(seed), gen_spec=cfg.generator_spec(),
-                                       trials=min(cfg.trials, 2000))
-        for p in points:
-            all_rows.append([p.method, p.scenario, p.k, f"{p.metric}@{p.x:g}",
-                             p.value, p.stderr, p.seed])
+    per_seed = _map_seeds(functools.partial(_sweep_rows, args.sweep, cfg), seeds)
+    all_rows = [row for rows in per_seed for row in rows]
     path = out_dir / f"sweep_{args.sweep}_{cfg.digest()}.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -365,12 +421,9 @@ def cmd_baseline(args) -> int:
     rows = []
     if args.name == "noise-injection":
         tx = evaluation.NoiseInjectionTransmitter(args.alpha, spec)
-        gen = rng.child(1).generator()
         trials = cfg.trials
-        m = sample_messages(spec, gen, trials)
-        s = tx.generate(m, gen)
-        pds = evaluation.lrt_detection_for_signals(s, scen, rng.child(2),
-                                                   target_pf=cfg.target_pf)
+        pds = evaluation.noise_injection_pd_lrt(tx, scen, trials, rng.child(1), rng.child(2),
+                                                target_pf=cfg.target_pf)
         ber = evaluation.noise_injection_ber(tx, scen, cfg.eval_snr_db, trials, rng.child(3))
         base = ("noise-injection", scen.name, scen.k)
         for i, pd in enumerate(pds):

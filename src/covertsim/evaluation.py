@@ -187,6 +187,16 @@ def noise_injection_ber(tx: NoiseInjectionTransmitter, scenario: ScenarioPreset,
     return float(np.mean(tx.decode(y, taps, spec.message_bits) != m))
 
 
+def noise_injection_pd_lrt(tx: NoiseInjectionTransmitter, scenario: ScenarioPreset,
+                           trials: int, signal_rng: RngStream, warden_rng: RngStream,
+                           target_pf: float = 0.1) -> list[float]:
+    """Per-warden genie-LRT pd of the noise-injection baseline: messages and
+    masks come from signal_rng, the warden taps from warden_rng."""
+    gen = signal_rng.generator()
+    s = tx.generate(sample_messages(tx.spec, gen, trials), gen)
+    return lrt_detection_for_signals(s, scenario, warden_rng, target_pf=target_pf)
+
+
 def match_noise_injection_alpha(target_ber: float, spec: GeneratorSpec,
                                 scenario: ScenarioPreset, snr_db: float,
                                 trials: int, rng: RngStream,
@@ -263,10 +273,8 @@ def run_sweeps(which: str, cfg: TrainConfig, rng: RngStream,
             tx, _ = match_noise_injection_alpha(max(rep.ber, 0.01), gen_spec, scen,
                                                 cfg.train_snr_db, trials,
                                                 rng.child(2000 + k))
-            gen = rng.child(3000 + k).generator()
-            m = sample_messages(gen_spec, gen, trials)
-            s = tx.generate(m, gen)
-            pds = lrt_detection_for_signals(s, scen, rng.child(4000 + k))
+            pds = noise_injection_pd_lrt(tx, scen, trials, rng.child(3000 + k),
+                                         rng.child(4000 + k))
             points.append(SweepPoint("noise-injection", scen.name, k, "mean_pd", k,
                                      float(np.mean(pds)), 0.0, seed))
         return points
@@ -302,10 +310,8 @@ def run_sweeps(which: str, cfg: TrainConfig, rng: RngStream,
             points.append(SweepPoint("proposed", scen.name, scen.k, "pd", i,
                                      w.pd, _binom_se(w.pd, trials), seed))
         tx = NoiseInjectionTransmitter(0.5, gen_spec)
-        gen = rng.child(3).generator()
-        m = sample_messages(gen_spec, gen, trials)
-        s = tx.generate(m, gen)
-        for i, pd in enumerate(lrt_detection_for_signals(s, scen, rng.child(4))):
+        for i, pd in enumerate(noise_injection_pd_lrt(tx, scen, trials, rng.child(3),
+                                                      rng.child(4))):
             points.append(SweepPoint("noise-injection", scen.name, scen.k, "pd", i,
                                      pd, 0.0, seed))
         return points

@@ -173,18 +173,18 @@ class DenseNet:
             h = out if mask is None else out * mask
         return h, cache
 
-    def backward(self, cache, grad_out: np.ndarray):
+    def backward(self, cache, grad_out: np.ndarray, param_grads: bool = True):
         """Reverse-mode gradients for the cached forward pass.
 
         Returns (grads, grad_input): grads is a fresh buffer shaped like
-        params holding each layer's (dW, db) summed over the batch, and
-        grad_input has the input shape.
+        params holding each layer's (dW, db) summed over the batch, or None
+        with ``param_grads=False``, and grad_input has the input shape.
         """
         if cache is None or len(cache) != len(self.specs):
             raise StateError("backward requires the cache of a matching train-mode forward")
         g = np.atleast_2d(np.asarray(grad_out, dtype=float))
-        grads = np.empty_like(self.params)
-        grad_w, grad_b = self._views(grads)
+        grads = np.empty_like(self.params) if param_grads else None
+        grad_w, grad_b = self._views(grads) if param_grads else (None, None)
         for idx in range(len(self.specs) - 1, -1, -1):
             spec = self.specs[idx]
             h_in, pre, out, mask = cache[idx]
@@ -192,8 +192,9 @@ class DenseNet:
                 g = g * mask
             _, act_grad = _ACTIVATIONS[spec.activation]
             g_pre = g * act_grad(pre, out)
-            np.matmul(np.swapaxes(g_pre, -1, -2), h_in, out=grad_w[idx])
-            g_pre.sum(axis=-2, out=grad_b[idx])
+            if param_grads:
+                np.matmul(np.swapaxes(g_pre, -1, -2), h_in, out=grad_w[idx])
+                g_pre.sum(axis=-2, out=grad_b[idx])
             g = g_pre @ self.weights[idx]
         return grads, g
 

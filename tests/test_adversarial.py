@@ -4,6 +4,8 @@ wasserstein variant and the adaptive warden loop."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertsim.adversarial import (
     AdamState,
@@ -95,6 +97,45 @@ def test_project_power_backward_finite_differences():
             lo = flat.copy(); lo[r, j] -= eps
             fd = (loss_of(hi) - loss_of(lo)) / (2 * eps)
             assert gflat[r, j] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+
+def _batch_around_ball(gen, batch, n, power):
+    """Complex rows whose energies lie well inside or well outside the
+    energy-P ball, at random, away from its kink at energy P."""
+    s = gen.standard_normal((batch, n)) + 1j * gen.standard_normal((batch, n))
+    target = power * np.where(gen.random(batch) < 0.5, gen.uniform(0.05, 0.8, batch),
+                              gen.uniform(1.25, 20.0, batch))
+    return s * np.sqrt(target / np.sum(np.abs(s) ** 2, axis=1))[:, None]
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=st.integers(1, 8), n=st.integers(1, 16),
+       power=st.floats(1e-3, 1e3), seed=st.integers(0, 2 ** 32 - 1))
+def test_project_power_is_feasible_and_keeps_feasible_rows(batch, n, power, seed):
+    s = _batch_around_ball(np.random.default_rng(seed), batch, n, power)
+    out, scale = project_power(s, power)
+    assert np.all(np.sum(np.abs(out) ** 2, axis=1) <= power * (1 + 1e-12))
+    feasible = np.sum(np.abs(s) ** 2, axis=1) <= power
+    np.testing.assert_array_equal(out[feasible], s[feasible])
+    assert np.all(scale[feasible] == 1.0) and np.all(scale[~feasible] < 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=st.integers(1, 8), n=st.integers(1, 16),
+       power=st.floats(1e-2, 1e2), seed=st.integers(0, 2 ** 32 - 1))
+def test_project_power_backward_is_the_adjoint(batch, n, power, seed):
+    # <J v, w> = <v, J^T w> with J v a central difference of the projection
+    gen = np.random.default_rng(seed)
+    s = _batch_around_ball(gen, batch, n, power)
+    v = gen.standard_normal((batch, n)) + 1j * gen.standard_normal((batch, n))
+    w = gen.standard_normal((batch, n)) + 1j * gen.standard_normal((batch, n))
+    eps = 1e-6 * np.sqrt(power)
+    jv = (project_power(s + eps * v, power)[0] - project_power(s - eps * v, power)[0]) / (2 * eps)
+    _, scale = project_power(s, power)
+    lhs = np.real(np.sum(np.conj(jv) * w))
+    rhs = np.real(np.sum(np.conj(v) * project_power_backward(w, s, scale)))
+    scale_of_terms = np.sum(np.abs(jv) * np.abs(w)) + 1e-300
+    assert abs(lhs - rhs) <= 1e-6 * scale_of_terms
 
 
 def test_generated_signals_respect_power():

@@ -4,15 +4,21 @@ and checkpoint compatibility checks."""
 import configparser
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from covertsim import neuralnet
+import covertsim
+from covertsim import cli, evaluation, neuralnet
 from covertsim.adversarial import train
 from covertsim.cli import (
     CSV_HEADER,
     EXIT_OK,
+    EXIT_RUNTIME,
     EXIT_USAGE,
     EXIT_VALIDATION,
     RunConfig,
@@ -79,6 +85,10 @@ def test_power_dbm_to_linear():
     ({"target_pf": 1.5}, "target_pf"),
     ({"snapshot_every": -1}, "snapshot_every"),
     ({"snapshot_trials": 0}, "snapshot_trials"),
+    ({"lr": 0.0}, "lr"),
+    ({"lr": -1.0}, "lr"),
+    ({"mu": -5.0}, "mu"),
+    ({"disc_warmup": -3}, "disc_warmup"),
 ])
 def test_validate_names_offending_field(overrides, needle):
     cfg = RunConfig(**overrides)
@@ -223,6 +233,65 @@ def test_sweep_unknown_name(tmp_path):
     _, path = _tiny_config(tmp_path)
     assert main(["sweep", "no-such", "--config", str(path),
                  "--out", str(tmp_path / "runs")]) == EXIT_USAGE
+
+
+def _read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_pooled_sweep_writes_the_in_process_rows(tmp_path):
+    cfg, path = _tiny_config(tmp_path)
+    out = tmp_path / "runs"
+    assert main(["sweep", "csr-vs-epochs", "--config", str(path), "--seeds", "4,5,6",
+                 "--out", str(out)]) == EXIT_OK
+    expected = [[str(v) for v in row] for seed in (4, 5, 6)
+                for row in cli._sweep_rows("csr-vs-epochs", cfg, seed)]
+    rows = _read_rows(out / f"sweep_csr-vs-epochs_{cfg.digest()}.csv")
+    assert rows[0] == CSV_HEADER
+    assert rows[1:1 + len(expected)] == expected
+    assert [r[1] for r in rows[1 + len(expected):]] == ["summary", "summary"]
+
+
+def test_sweep_failure_in_a_worker_exits_4(tmp_path, monkeypatch, capsys):
+    _, path = _tiny_config(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("sweep broke at iteration 3")
+
+    # forked workers inherit the patched module
+    monkeypatch.setattr(evaluation, "run_sweeps", broken)
+    assert main(["sweep", "csr-vs-epochs", "--config", str(path), "--seeds", "1,2",
+                 "--out", str(tmp_path / "runs")]) == EXIT_RUNTIME
+    assert "sweep broke at iteration 3" in capsys.readouterr().err
+
+
+def _blas_threads(_):
+    return cli._openblas("get")()
+
+
+def test_sweep_workers_run_one_blas_thread():
+    if cli._openblas("get") is None:
+        pytest.skip("numpy's OpenBLAS cannot report its thread count")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU: seeds run in this process")
+    assert cli._map_seeds(_blas_threads, [0, 1]) == [1, 1]
+
+
+def test_pooled_sweep_replays_across_processes_and_blas_threads(tmp_path):
+    _, path = _tiny_config(tmp_path)
+    src = str(Path(covertsim.__file__).resolve().parents[1])
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "covertsim.cli", "sweep", "csr-vs-epochs",
+                        "--config", str(path), "--seeds", "7,8", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        csv_path, = out.glob("sweep_*.csv")
+        csvs.append(csv_path.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_exit_codes_for_bad_inputs(tmp_path):

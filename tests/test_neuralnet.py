@@ -321,6 +321,9 @@ def test_stacked_net_matches_separate_nets(k, batch, hidden, acts, seed):
     out, cache = stacked.forward(x, train=True)
     grads, g_in = stacked.backward(cache, g_out)
     assert grads.shape == stacked.params.shape
+    no_grads, input_only = stacked.backward(cache, g_out, param_grads=False)
+    assert no_grads is None
+    np.testing.assert_array_equal(input_only, g_in)
     for i, (net, row) in enumerate(zip(nets, stacked.rows())):
         np.testing.assert_array_equal(row.params, net.params)
         ref, ref_cache = net.forward(x[i], train=True)
