@@ -22,6 +22,7 @@ from .neuralnet import (
     adam_step,
     bce_loss,
     mse_loss,
+    row_blocks,
 )
 from .numerics import DomainError, RngStream, from_reim, sample_awgn, to_reim
 from .scenarios import ScenarioPreset
@@ -361,9 +362,11 @@ def warden_detection(system: System, s: np.ndarray, gen: np.random.Generator,
 
     Each learned discriminator is thresholded at the target false-alarm
     rate on calib fresh H0 slots; pd_lrt is the genie-LRT bound on the
-    same H1 cases. Taps, H1 noise and H0 noise are drawn from gen in
-    that order, warden by warden. The wardens run one at a time: stacking
-    the calib-row H0 sets would multiply the peak activation memory by K.
+    same H1 cases. Taps, H1 noise and H0 noise are drawn whole from gen in
+    that order, warden by warden; the channel, the energies and the forwards
+    then run in row blocks, so no per-layer activation spans the batch. The
+    wardens run one at a time: stacking the calib-row H0 sets would multiply
+    the peak memory by K.
     """
     scen = system.scenario
     trials, n = s.shape
@@ -372,14 +375,17 @@ def warden_detection(system: System, s: np.ndarray, gen: np.random.Generator,
     out = []
     for i, disc in enumerate(system.discriminators):
         sigma2 = scen.warden_sigma2[i]
-        x1 = propagate(s, taps[i])
-        y1 = x1 + sample_awgn(n, sigma2, gen, count=trials)
+        noise1 = sample_awgn(n, sigma2, gen, count=trials)
         y0 = sample_awgn(n, sigma2, gen, count=calib)
-        out1 = disc.forward(to_reim(y1))[0][:, 0]
-        out0 = disc.forward(to_reim(y0))[0][:, 0]
+        out1, ex, out0 = np.empty(trials), np.empty(trials), np.empty(calib)
+        for sl in row_blocks(trials):
+            x1 = propagate(s[sl], taps[i, sl])
+            ex[sl] = np.sum(np.abs(x1) ** 2, axis=1)
+            out1[sl] = disc.forward(to_reim(x1 + noise1[sl]))[0][:, 0]
+        for sl in row_blocks(calib):
+            out0[sl] = disc.forward(to_reim(y0[sl]))[0][:, 0]
         thr = np.quantile(out0, target_pf)
         detected[i] = out1 < thr
-        ex = np.sum(np.abs(x1) ** 2, axis=1)
         out.append(WardenMetrics(pd=float(np.mean(detected[i])),
                                  pf=float(np.mean(out0 < thr)),
                                  pd_lrt=float(np.mean(pd_at_target_pf(ex, sigma2, target_pf))),
@@ -389,11 +395,19 @@ def warden_detection(system: System, s: np.ndarray, gen: np.random.Generator,
 
 def decode_ber(system: System, s: np.ndarray, m: np.ndarray, sigma2: float,
                gen: np.random.Generator) -> float:
-    """Bit error rate of Bob's decoder on s (carrying m) at noise variance sigma2."""
-    taps = sample_bob_taps(system.scenario, s.shape[0], gen)
-    y_b = propagate(s, taps) + sample_awgn(s.shape[1], sigma2, gen, count=s.shape[0])
-    m_hat = system.decoder.forward(decoder_input(y_b, taps))[0]
-    return float(np.mean(np.sign(m_hat + 1e-12) != m))
+    """Bit error rate of Bob's decoder on s (carrying m) at noise variance sigma2.
+
+    Taps and noise are drawn whole; decoding runs in row blocks.
+    """
+    trials, n = s.shape
+    taps = sample_bob_taps(system.scenario, trials, gen)
+    noise = sample_awgn(n, sigma2, gen, count=trials)
+    errors = 0
+    for sl in row_blocks(trials):
+        y_b = propagate(s[sl], taps[sl]) + noise[sl]
+        m_hat = system.decoder.forward(decoder_input(y_b, taps[sl]))[0]
+        errors += int(np.count_nonzero(np.sign(m_hat + 1e-12) != m[sl]))
+    return errors / m.size
 
 
 def snapshot_metrics(system: System, rng: RngStream, trials: int = 512,

@@ -255,8 +255,16 @@ def _system_from_checkpoint(path, cfg: RunConfig | None = None) -> System:
             f"checkpoint has {k} discriminators but scenario {scen.name!r} has {scen.k} wardens")
     system = build_system(spec, scen, RngStream(0), loss_mode=saved.loss_mode,
                           train_snr_db=saved.train_snr_db)
-    if system.generator.param_count() != nets["generator"].param_count():
-        raise ValidationError("checkpoint generator shape does not match the config")
+    built = {"generator": system.generator, "decoder": system.decoder,
+             **{f"disc_{i}": disc for i, disc in enumerate(system.discriminators)}}
+
+    def layers(net):
+        # dropout acts only in training, so an eval config may change it
+        return [(s.in_dim, s.out_dim, s.activation) for s in net.specs]
+
+    for name, net in built.items():
+        if layers(nets[name]) != layers(net):
+            raise ValidationError(f"checkpoint {name} layers do not match the config")
     system.generator = nets["generator"]
     system.decoder = nets["decoder"]
     system.wardens = DenseNet.stack([nets[f"disc_{i}"] for i in range(k)])

@@ -15,6 +15,7 @@ import numpy as np
 from scipy import special
 
 from .channel import ChannelConfig, propagate, sample_taps
+from .neuralnet import row_blocks
 from .numerics import DomainError, RngStream, energy, q_function, q_inverse, sample_awgn
 
 
@@ -142,11 +143,14 @@ def monte_carlo_roc(warden: LrtWarden, cfg: ChannelConfig, s: np.ndarray,
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     n = len(s)
     taps = sample_taps(cfg, gen, count=trials) if fixed_taps is None else fixed_taps
-    x = propagate(np.broadcast_to(s, (trials, n)), taps)
     noise0 = sample_awgn(n, cfg.noise_variance, gen, count=trials)
     noise1 = sample_awgn(n, cfg.noise_variance, gen, count=trials)
-    t0 = 2.0 * np.real(np.sum(np.conj(noise0) * x, axis=1))
-    t1 = 2.0 * np.real(np.sum(np.conj(x + noise1) * x, axis=1))
+    t0, t1 = np.empty(trials), np.empty(trials)
+    for sl in row_blocks(trials):
+        x = propagate(np.broadcast_to(s, (sl.stop - sl.start, n)),
+                      taps if fixed_taps is not None else taps[sl])
+        t0[sl] = 2.0 * np.real(np.sum(np.conj(noise0[sl]) * x, axis=1))
+        t1[sl] = 2.0 * np.real(np.sum(np.conj(x + noise1[sl]) * x, axis=1))
     pf = float(np.mean(t0 > warden.threshold))
     pd = float(np.mean(t1 > warden.threshold))
     return DetectionReport(pd=pd, pf=pf, trials=trials)

@@ -33,7 +33,7 @@ from .adversarial import (
 )
 from .channel import propagate
 from .detection import pd_at_target_pf
-from .neuralnet import DenseNet
+from .neuralnet import DenseNet, row_blocks
 from .numerics import DomainError, RngStream, sample_awgn
 from .scenarios import ScenarioPreset
 
@@ -85,7 +85,9 @@ def lrt_detection_for_signals(s: np.ndarray, scenario: ScenarioPreset,
                               rng: RngStream, target_pf: float = 0.1) -> list[float]:
     """Mean per-case genie-LRT pd at each warden for an arbitrary batch of signals."""
     taps = sample_warden_taps(scenario, s.shape[0], rng.generator())
-    ex = np.sum(np.abs(propagate(s, taps)) ** 2, axis=-1)  # (K, trials)
+    ex = np.empty(taps.shape[:-1])  # (K, trials)
+    for sl in row_blocks(s.shape[0]):
+        ex[:, sl] = np.sum(np.abs(propagate(s[sl], taps[:, sl])) ** 2, axis=-1)
     sigma2 = np.asarray(scenario.warden_sigma2)[:, None]
     return np.mean(pd_at_target_pf(ex, sigma2, target_pf), axis=-1).tolist()
 

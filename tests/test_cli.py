@@ -316,6 +316,14 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     for trials in ("50", "0"):
         assert main(["eval", str(tmp_path / "none.npz"), "--config", str(path),
                      "--trials", trials, "--out", str(tmp_path)]) == EXIT_VALIDATION
+    # a config whose nets differ from the checkpoint's beyond the generator:
+    # more Bob taps widen only the decoder input
+    cfg, path = _tiny_config(tmp_path, iterations=2, disc_warmup=0, snapshot_every=0)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "runs")]) == EXIT_OK
+    ckpt = tmp_path / "runs" / f"ckpt_{cfg.digest()}_s0.npz"
+    _, path = _tiny_config(tmp_path, n_taps=6)
+    assert main(["eval", str(ckpt), "--config", str(path),
+                 "--out", str(tmp_path / "runs")]) == EXIT_VALIDATION
 
 
 def test_usage_error_on_unknown_subcommand():

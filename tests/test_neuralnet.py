@@ -1,7 +1,7 @@
 """Tests for the dense network stack: activations, initialization,
 finite-difference gradient oracles, dropout, Adam against a hand-computed
-first step, K-stacked nets against K separate ones, losses and checkpoint
-round trips."""
+first step, K-stacked nets against K separate ones, row-blocked eval
+forwards, losses and checkpoint round trips."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,9 @@ from covertsim.neuralnet import (
     adam_step,
     bce_loss,
     load_checkpoint,
+    _BLOCK,
     mse_loss,
+    row_blocks,
     save_checkpoint,
 )
 from covertsim.numerics import DomainError, RngStream
@@ -353,6 +355,55 @@ def test_weights_are_views_of_params():
     flat = net.get_flat()
     flat[0] = 99.0
     assert net.params[0] != 99.0  # get_flat is a copy
+
+
+# ---------------------------------------------------------------------------
+# row-blocked eval forwards
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 5))
+def test_row_blocks_tile_the_rows_in_aligned_blocks(rows):
+    blocks = row_blocks(rows)
+    assert [i for sl in blocks for i in range(rows)[sl]] == list(range(rows))
+    assert all(sl.start % _BLOCK == 0 for sl in blocks)
+    if rows >= _BLOCK:
+        assert all(sl.stop - sl.start >= _BLOCK for sl in blocks)
+    if rows < 2 * _BLOCK:
+        assert len(blocks) == 1
+
+
+_REFERENCE_ACTS = {
+    "relu": lambda a: np.maximum(a, 0.0),
+    "leaky-relu": lambda a: np.where(a > 0, a, 0.01 * a),
+    "sigmoid": lambda a: 1.0 / (1.0 + np.exp(-a)),
+    "tanh": np.tanh,
+    "linear": lambda a: a,
+}
+
+
+def _whole_batch_reference(net, x):
+    h = x
+    for spec, w, b in zip(net.specs, net.weights, net.biases):
+        h = _REFERENCE_ACTS[spec.activation](h @ np.swapaxes(w, -1, -2) + b[..., None, :])
+    return h
+
+
+@pytest.mark.parametrize("k", [None, 3])
+def test_blocked_eval_forward_matches_whole_batch_reference(k):
+    # 1,700 rows make three blocks, the last with the 164-row remainder
+    specs = [LayerSpec(10, 16, "relu", 0.3), LayerSpec(16, 16, "leaky-relu"),
+             LayerSpec(16, 8, "tanh"), LayerSpec(8, 1, "sigmoid")]
+    gen = np.random.default_rng(4)
+    if k is None:
+        net, x = DenseNet(specs, RngStream(1)), gen.standard_normal((1700, 10))
+    else:
+        net = DenseNet.stack([DenseNet(specs, RngStream(1, i)) for i in range(k)])
+        x = gen.standard_normal((k, 1700, 10))
+    assert len(row_blocks(1700)) == 3
+    out, cache = net.forward(x)
+    assert cache is None
+    np.testing.assert_allclose(out, _whole_batch_reference(net, x), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Pins short training runs (urban, 6g-dense, wasserstein urban) and their
-evaluation, the adaptive wardens and the genie-LRT baseline to recorded
-values.
+evaluation, an evaluation and the genie-LRT kernels over several row blocks,
+the adaptive wardens and the genie-LRT baseline to recorded values.
 
 The acceptance determinism gate replays a run within one process, so it
 cannot see a change that reorders the random draws; these literals can.
@@ -8,9 +8,12 @@ A change that alters the draw order on purpose must re-record them and
 say so.
 """
 
+import numpy as np
 import pytest
 
 from covertsim.adversarial import TrainConfig, adaptive_warden_loop, train
+from covertsim.channel import ChannelConfig
+from covertsim.detection import LrtWarden, calibrate_threshold, monte_carlo_roc
 from covertsim.evaluation import evaluate_system, lrt_detection_for_signals
 from covertsim.numerics import RngStream
 from covertsim.scenarios import get_preset
@@ -144,6 +147,22 @@ def test_urban_wasserstein_seed0_numbers_are_pinned():
          0.12, 0.1, 0.9239930626350694], rel=REL)
 
 
+def test_urban_evaluation_over_several_row_blocks_is_pinned():
+    # 2,500 trials: the generator, H1 and decoder forwards span four 512-row
+    # blocks, the last with the remainder, and the 10,000 H0 rows nineteen
+    cfg = TrainConfig(iterations=4, batch=16, disc_warmup=2, snapshot_every=0)
+    system, _ = train(cfg, get_preset("urban"), RngStream(0))
+    report = evaluate_system(system, 2500, RngStream(0, 7))
+    assert report.csr == pytest.approx(0.6148, rel=REL)
+    assert report.ber == pytest.approx(0.496, rel=REL)
+    assert report.mean_signal_energy == pytest.approx(3.5008243943148116, rel=REL)
+    per_warden = [v for w in report.per_warden for v in (w.pd, w.pf, w.pd_lrt)]
+    assert per_warden == pytest.approx(
+        [0.1872, 0.1, 0.9941489189951604,
+         0.1204, 0.1, 0.9735132253593929,
+         0.1468, 0.1, 0.9137842655120181], rel=REL)
+
+
 def test_urban_adaptive_wardens_are_pinned():
     # retraining at iterations 3 and 6 replays a window shorter than the buffer
     cfg = TrainConfig(iterations=4, batch=16, disc_warmup=2, snapshot_every=0)
@@ -166,3 +185,15 @@ def test_6g_dense_lrt_baseline_is_pinned(target_pf, pds):
     s = 0.1 * (gen.standard_normal((300, 32)) + 1j * gen.standard_normal((300, 32)))
     assert lrt_detection_for_signals(s, get_preset("6g-dense"), RngStream(9),
                                      target_pf=target_pf) == pytest.approx(pds, rel=REL)
+
+
+def test_blocked_lrt_kernels_are_pinned():
+    # 2,500 rows: the channel and statistics run in four row blocks
+    gen = RngStream(5).generator()
+    s = 0.1 * (gen.standard_normal((2500, 32)) + 1j * gen.standard_normal((2500, 32)))
+    assert lrt_detection_for_signals(s, get_preset("urban"), RngStream(9)) == pytest.approx(
+        [0.8955481866374917, 0.7498457595819237, 0.5721538984193812], rel=REL)
+    x = 0.3 * np.ones(8, dtype=complex)
+    warden = LrtWarden(x, 1.0, calibrate_threshold(x, 1.0, 0.1))
+    report = monte_carlo_roc(warden, ChannelConfig(), x, 2500, RngStream(3))
+    assert (report.pd, report.pf) == pytest.approx((0.8364, 0.2536), rel=REL)
