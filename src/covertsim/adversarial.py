@@ -59,7 +59,6 @@ class TrainConfig:
     iterations: int = 2000
     batch: int = 64
     lr: float = 1e-4
-    beta1: float = 0.5
     mu: float = 1.0
     loss_mode: str = "standard"  # or "wasserstein"
     clip: float = 0.05
@@ -94,7 +93,6 @@ class TrainConfig:
 class TrainLog:
     """Per-iteration loss traces plus periodic metric snapshots."""
 
-    seed: int
     iterations: list[int] = field(default_factory=list)
     gen_loss: list[float] = field(default_factory=list)
     covert_loss: list[float] = field(default_factory=list)
@@ -161,13 +159,11 @@ def decoder_input_backward(grad_feat: np.ndarray, bob_taps: np.ndarray) -> np.nd
 
 
 def build_system(gen_spec: GeneratorSpec, scenario: ScenarioPreset, rng: RngStream,
-                 bob_sigma2: float | None = None, loss_mode: str = "standard",
+                 loss_mode: str = "standard",
                  disc_hidden: tuple[int, ...] = (64, 64, 64),
                  dec_hidden: tuple[int, ...] = (64, 64, 64),
                  train_snr_db: float = 20.0) -> System:
     """Construct generator, decoder and one discriminator per warden."""
-    if bob_sigma2 is None:
-        bob_sigma2 = snr_db_to_bob_sigma2(gen_spec.power, train_snr_db)
     n2 = 2 * gen_spec.n
     gen_layers = []
     dims = [gen_spec.message_bits + gen_spec.noise_dim, *gen_spec.hidden]
@@ -193,7 +189,7 @@ def build_system(gen_spec: GeneratorSpec, scenario: ScenarioPreset, rng: RngStre
 
     lambdas = np.full(scenario.k, 1.0 / scenario.k)
     return System(generator, decoder, wardens, gen_spec, scenario, lambdas,
-                  bob_sigma2, loss_mode)
+                  snr_db_to_bob_sigma2(gen_spec.power, train_snr_db), loss_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +280,7 @@ def sample_bob_taps(scenario: ScenarioPreset, batch: int, gen: np.random.Generat
                     slots: np.ndarray | None = None, n: int = 0) -> np.ndarray:
     """Draw (batch, L) Bob tap gains, Doppler-rotated per slot as for the wardens."""
     t = None if slots is None else slots * n * scenario.symbol_duration
-    # the tap draw does not depend on the noise variance
-    return sample_taps(scenario.bob_config(noise_variance=1.0), gen, batch, t)
+    return sample_taps(scenario.bob_config(), gen, batch, t)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +341,6 @@ class WardenMetrics:
     pd: float
     pf: float
     pd_lrt: float
-    degenerate: bool = False
 
 
 def csr_from_detections(detected: np.ndarray) -> float:
@@ -388,8 +382,7 @@ def warden_detection(system: System, s: np.ndarray, gen: np.random.Generator,
         detected[i] = out1 < thr
         out.append(WardenMetrics(pd=float(np.mean(detected[i])),
                                  pf=float(np.mean(out0 < thr)),
-                                 pd_lrt=float(np.mean(pd_at_target_pf(ex, sigma2, target_pf))),
-                                 degenerate=bool(np.std(out0) < 1e-9)))
+                                 pd_lrt=float(np.mean(pd_at_target_pf(ex, sigma2, target_pf)))))
     return out, csr_from_detections(detected)
 
 
@@ -503,11 +496,11 @@ def train(cfg: TrainConfig, scenario: ScenarioPreset, rng: RngStream,
     elif system.loss_mode != cfg.loss_mode:
         raise ConfigError("system loss mode does not match the training config")
     gen = rng.child(100).generator()
-    log = TrainLog(seed=rng.seed)
+    log = TrainLog()
 
-    adam_g = AdamState(system.generator.param_count(), lr=cfg.lr, beta1=cfg.beta1)
-    adam_dec = AdamState(system.decoder.param_count(), lr=cfg.lr, beta1=cfg.beta1)
-    adam_d = AdamState(system.wardens.params.shape, lr=cfg.lr, beta1=cfg.beta1)
+    adam_g = AdamState(system.generator.param_count(), lr=cfg.lr)
+    adam_dec = AdamState(system.decoder.param_count(), lr=cfg.lr)
+    adam_d = AdamState(system.wardens.params.shape, lr=cfg.lr)
 
     spec = system.gen_spec
     slot = 0
@@ -582,8 +575,7 @@ def train(cfg: TrainConfig, scenario: ScenarioPreset, rng: RngStream,
 
 def adaptive_warden_loop(system: System, rng: RngStream, period: int = 1000,
                          window: int = 500, total: int = 5000,
-                         batch: int = 8, retrain_steps: int = 100,
-                         lr: float = 1e-3) -> np.ndarray:
+                         batch: int = 8, retrain_steps: int = 100) -> np.ndarray:
     """Freeze the generator against freshly deployed wardens that
     periodically retrain on what they recently observed; returns the
     per-iteration covertness metric (mean warden output on H1 samples).
@@ -603,7 +595,7 @@ def adaptive_warden_loop(system: System, rng: RngStream, period: int = 1000,
     scen = system.scenario
     wardens = DenseNet.stack([DenseNet(system.wardens.specs, gen) for _ in range(scen.k)])
     wardens.weights[-1][:] = 0.0
-    adam = AdamState(wardens.params.shape, lr=lr, beta1=0.5)
+    adam = AdamState(wardens.params.shape, lr=1e-3)
     seen: list[np.ndarray] = []  # (K, batch, N) observations, oldest first
     metric = np.zeros(total)
     for it in range(total):

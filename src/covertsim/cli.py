@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -127,14 +127,18 @@ class RunConfig:
     def load(cls, path) -> "RunConfig":
         """Read a config file; missing keys take defaults, unknown ones are refused."""
         parser = configparser.ConfigParser()
-        if not parser.read(path):
-            raise FileNotFoundError(path)
+        try:
+            if not parser.read(path):
+                raise FileNotFoundError(path)
+            sections = {name: dict(parser[name]) for name in parser.sections()}
+        except configparser.Error as exc:
+            raise ValidationError(str(exc)) from None
         types = {f.name: f.type for f in dataclasses.fields(cls)}
         kwargs = {}
-        for section in parser.sections():
+        for section, items in sections.items():
             if section not in cls._SECTIONS:
                 raise ValidationError(f"[{section}]: unknown section")
-            for key, raw in parser[section].items():
+            for key, raw in items.items():
                 if key not in cls._SECTIONS[section]:
                     raise ValidationError(f"{key}: unknown key in [{section}]")
                 try:
@@ -167,18 +171,16 @@ class RunConfig:
         return dataclasses.replace(preset, rho=self.rho, doppler_hz=self.doppler_hz,
                                    n_taps=self.n_taps)
 
+    def _section(self, name: str) -> dict:
+        return {key: getattr(self, key) for key in self._SECTIONS[name]}
+
     def generator_spec(self) -> GeneratorSpec:
-        return GeneratorSpec(message_bits=self.message_bits, noise_dim=self.noise_dim,
-                             n=self.n, power=self.power_linear,
-                             hidden=self.hidden, dropout=self.dropout)
+        fields = self._section("generator")
+        del fields["power_dbm"]
+        return GeneratorSpec(**fields, power=self.power_linear)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(iterations=self.iterations, batch=self.batch, lr=self.lr,
-                           mu=self.mu, loss_mode=self.loss_mode, clip=self.clip,
-                           disc_warmup=self.disc_warmup,
-                           snapshot_every=self.snapshot_every,
-                           snapshot_trials=self.snapshot_trials,
-                           train_snr_db=self.train_snr_db, target_pf=self.target_pf)
+        return TrainConfig(**self._section("train"), target_pf=self.target_pf)
 
     def digest(self) -> str:
         blob = json.dumps(dataclasses.asdict(self), sort_keys=True, default=str)
@@ -212,6 +214,13 @@ def _write_trainlog(path: Path, log) -> None:
 CSV_HEADER = ["method", "scenario", "K", "metric", "value", "stderr", "seed"]
 
 
+def _write_csv(path: Path, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        writer.writerows(rows)
+
+
 def _report_rows(report, method: str):
     rows = []
     base = (method, report.scenario, len(report.per_warden))
@@ -226,7 +235,7 @@ def _report_rows(report, method: str):
     rows.append([*base, "mean_pf", report.mean_pf,
                  evaluation._binom_se(report.mean_pf, report.trials), report.seed])
     rows.append([*base, "mean_pd_lrt", report.mean_pd_lrt, 0.0, report.seed])
-    rows.append([*base, "ber", report.ber, report.extras.get("ber_stderr", 0.0), report.seed])
+    rows.append([*base, "ber", report.ber, report.ber_stderr, report.seed])
     rows.append([*base, "csr", report.csr,
                  evaluation._binom_se(report.csr, report.trials), report.seed])
     rows.append([*base, "mean_signal_energy", report.mean_signal_energy, 0.0, report.seed])
@@ -237,6 +246,20 @@ def _saved_config(header: dict) -> RunConfig:
     """The run config a checkpoint was trained with (lists back to tuples)."""
     return RunConfig(**{key: tuple(val) if isinstance(val, list) else val
                         for key, val in header["extra"].items()})
+
+
+def _run_config(args) -> RunConfig:
+    """The validated config of a run: ``--config``, else the one saved in
+    the checkpoint, with the ``--seed`` and ``--trials`` the subcommand has."""
+    if args.config:
+        cfg = RunConfig.load(args.config)
+    else:
+        cfg = _saved_config(load_checkpoint(args.checkpoint)[1])
+    for key in ("seed", "trials"):
+        if getattr(args, key, None) is not None:
+            setattr(cfg, key, getattr(args, key))
+    cfg.validate()
+    return cfg
 
 
 def _system_from_checkpoint(path, cfg: RunConfig | None = None) -> System:
@@ -276,10 +299,7 @@ def _system_from_checkpoint(path, cfg: RunConfig | None = None) -> System:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    cfg = RunConfig.load(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    cfg.validate()
+    cfg = _run_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -298,26 +318,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.config:
-        cfg = RunConfig.load(args.config)
-    else:
-        cfg = _saved_config(load_checkpoint(args.checkpoint)[1])
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.trials is not None:
-        cfg.trials = args.trials
-    cfg.validate()
+    cfg = _run_config(args)
     system = _system_from_checkpoint(args.checkpoint, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = evaluation.evaluate_system(system, cfg.trials, RngStream(cfg.seed, 7),
                                         target_pf=cfg.target_pf, snr_db=cfg.eval_snr_db)
-    rows = _report_rows(report, "proposed")
     path = out_dir / f"metrics_{cfg.digest()}_s{cfg.seed}.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
+    _write_csv(path, _report_rows(report, "proposed"))
     _write_manifest(out_dir, cfg, "eval", [cfg.seed])
     if cfg.trials < 1000:
         print(f"warning: low-precision report (trials={cfg.trials})", file=sys.stderr)
@@ -386,41 +394,47 @@ def _sweep_rows(sweep: str, cfg: RunConfig, seed: int) -> list[list]:
             for p in points]
 
 
+def _seed_list(text: str) -> list[int]:
+    """Parse ``--seeds``: comma-separated integers."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
+
+
 def cmd_sweep(args) -> int:
-    cfg = RunConfig.load(args.config)
-    cfg.validate()
+    cfg = _run_config(args)
     if args.sweep not in evaluation.SWEEP_NAMES:
         print(f"unknown sweep {args.sweep!r}; valid: {', '.join(evaluation.SWEEP_NAMES)}",
               file=sys.stderr)
         return EXIT_USAGE
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.seed]
+    seeds = args.seeds or [cfg.seed]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     per_seed = _map_seeds(functools.partial(_sweep_rows, args.sweep, cfg), seeds)
-    all_rows = [row for rows in per_seed for row in rows]
+    rows = [row for seed_rows in per_seed for row in seed_rows]
+    summary = []
+    for method in sorted({r[0] for r in rows}):
+        vals = [r[4] for r in rows if r[0] == method]
+        summary.append([method, "summary", "", "mean_value",
+                        float(np.mean(vals)), float(np.std(vals)), ""])
+    if args.sweep == "csr-vs-epochs":
+        csr_vals = [r[4] for r in rows if r[3].startswith("csr")]
+        trend = "increasing" if csr_vals and csr_vals[-1] > csr_vals[0] else "flat"
+        summary.append(["proposed", "summary", "", "csr_trend", trend, "", ""])
     path = out_dir / f"sweep_{args.sweep}_{cfg.digest()}.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(all_rows)
-        for method in sorted({r[0] for r in all_rows}):
-            vals = [r[4] for r in all_rows if r[0] == method]
-            writer.writerow([method, "summary", "", "mean_value",
-                             float(np.mean(vals)), float(np.std(vals)), ""])
-        if args.sweep == "csr-vs-epochs":
-            csr_vals = [r[4] for r in all_rows if r[3].startswith("csr")]
-            trend = "increasing" if csr_vals and csr_vals[-1] > csr_vals[0] else "flat"
-            writer.writerow(["proposed", "summary", "", "csr_trend", trend, "", ""])
+    _write_csv(path, rows + summary)
     _write_manifest(out_dir, cfg, f"sweep-{args.sweep}", seeds)
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_baseline(args) -> int:
-    cfg = RunConfig.load(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    cfg.validate()
+    cfg = _run_config(args)
+    if args.name not in ("noise-injection", "single-disc"):
+        print(f"unknown baseline {args.name!r}; valid: noise-injection, single-disc",
+              file=sys.stderr)
+        return EXIT_USAGE
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     scen = cfg.scenario_preset()
@@ -439,21 +453,14 @@ def cmd_baseline(args) -> int:
         rows.append([*base, "mean_pd_lrt", float(np.mean(pds)), 0.0, cfg.seed])
         rows.append([*base, "ber", ber,
                      evaluation._binom_se(ber, trials * spec.message_bits), cfg.seed])
-    elif args.name == "single-disc":
+    else:
         system, _ = evaluation.single_discriminator_baseline(
             cfg.train_config(), scen, rng, gen_spec=spec)
         report = evaluation.evaluate_system(system, cfg.trials, rng.child(7),
                                             target_pf=cfg.target_pf, snr_db=cfg.eval_snr_db)
         rows = _report_rows(report, "single-disc")
-    else:
-        print(f"unknown baseline {args.name!r}; valid: noise-injection, single-disc",
-              file=sys.stderr)
-        return EXIT_USAGE
     path = out_dir / f"baseline_{args.name}_{cfg.digest()}_s{cfg.seed}.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
+    _write_csv(path, rows)
     _write_manifest(out_dir, cfg, f"baseline-{args.name}", [cfg.seed])
     print(f"wrote {path}")
     return EXIT_OK
@@ -511,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a named experiment sweep")
     p.add_argument("sweep")
     p.add_argument("--config", required=True)
-    p.add_argument("--seeds")
+    p.add_argument("--seeds", type=_seed_list)
     p.add_argument("--out", default="runs")
     p.set_defaults(func=cmd_sweep)
 

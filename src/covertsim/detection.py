@@ -33,7 +33,6 @@ class DetectionReport:
     pd: float
     pf: float
     trials: int
-    method: str = "monte-carlo"
 
     @property
     def pd_stderr(self) -> float:

@@ -9,7 +9,7 @@ rate on fresh H0 samples) and through the genie LRT bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class MetricsReport:
     trials: int
     seed: int
     mean_signal_energy: float = 0.0
-    extras: dict = field(default_factory=dict)
+    ber_stderr: float = 0.0
 
     @property
     def mean_pd(self) -> float:
@@ -100,14 +100,13 @@ def measure_ber(system: System, snr_grid_db: list[float], trials: int,
     """
     gen = rng.generator()
     spec = system.gen_spec
-    nbits = trials * spec.message_bits
     rows = []
     for snr_db in snr_grid_db:
         sigma_b2 = snr_db_to_bob_sigma2(spec.power, snr_db)
         m, z = sample_latents(spec, gen, trials)
         s, _ = generate_signal(system, m, z)
         ber = decode_ber(system, s, m, sigma_b2, gen)
-        rows.append((snr_db, ber, float(np.sqrt(max(ber * (1 - ber), 1e-12) / nbits))))
+        rows.append((snr_db, ber, _binom_se(ber, trials * spec.message_bits)))
     return rows
 
 
@@ -120,8 +119,7 @@ def evaluate_system(system: System, trials: int, rng: RngStream,
     return MetricsReport(
         scenario=system.scenario.name, per_warden=per_warden,
         ber=ber_rows[0][1], csr=csr, trials=trials,
-        seed=rng.seed, mean_signal_energy=energy,
-        extras={"snr_db": snr_db, "ber_stderr": ber_rows[0][2]},
+        seed=rng.seed, mean_signal_energy=energy, ber_stderr=ber_rows[0][2],
     )
 
 
@@ -161,11 +159,12 @@ class NoiseInjectionTransmitter:
         e = np.sum(np.abs(s) ** 2, axis=1, keepdims=True)
         return s * np.minimum(1.0, np.sqrt(p / np.maximum(e, 1e-300)))
 
-    def decode(self, y: np.ndarray, taps: np.ndarray, m_bits: int) -> np.ndarray:
+    def decode(self, y: np.ndarray, taps: np.ndarray) -> np.ndarray:
         """Matched-filter decode with perfect CSI: correlate against each
         bit's channel-convolved chip pattern and take the sign."""
         y = np.atleast_2d(y)
         batch, n = y.shape
+        m_bits = self.spec.message_bits
         reps = n // m_bits
         basis = np.zeros((m_bits, n))
         for j in range(m_bits):
@@ -186,7 +185,7 @@ def noise_injection_ber(tx: NoiseInjectionTransmitter, scenario: ScenarioPreset,
     s = tx.generate(m, gen)
     taps = sample_bob_taps(scenario, trials, gen)
     y = propagate(s, taps) + sample_awgn(spec.n, sigma_b2, gen, count=trials)
-    return float(np.mean(tx.decode(y, taps, spec.message_bits) != m))
+    return float(np.mean(tx.decode(y, taps) != m))
 
 
 def noise_injection_pd_lrt(tx: NoiseInjectionTransmitter, scenario: ScenarioPreset,
@@ -201,14 +200,12 @@ def noise_injection_pd_lrt(tx: NoiseInjectionTransmitter, scenario: ScenarioPres
 
 def match_noise_injection_alpha(target_ber: float, spec: GeneratorSpec,
                                 scenario: ScenarioPreset, snr_db: float,
-                                trials: int, rng: RngStream,
-                                grid: np.ndarray | None = None):
-    """Pick the mask split whose BER is closest to (without exceeding, if
-    possible) the target; returns (transmitter, its ber)."""
-    if grid is None:
-        grid = np.linspace(0.05, 1.0, 20)
+                                trials: int, rng: RngStream):
+    """Pick the mask split on a 20-point grid over [0.05, 1] whose BER is
+    closest to (without exceeding, if possible) the target; returns
+    (transmitter, its ber)."""
     best = None
-    for j, alpha in enumerate(grid):
+    for j, alpha in enumerate(np.linspace(0.05, 1.0, 20)):
         tx = NoiseInjectionTransmitter(float(alpha), spec)
         ber = noise_injection_ber(tx, scenario, snr_db, trials, rng.child(j))
         feasible = ber <= target_ber

@@ -291,12 +291,6 @@ class AdamState:
         step /= denom
         params -= step
 
-    def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        """One step on a copy of params; returns the updated copy."""
-        params = np.array(params, dtype=float)
-        self.update(params, grads)
-        return params
-
 
 def adam_step(state: AdamState, net: DenseNet, grads: np.ndarray) -> None:
     """Apply one Adam update to a net's parameters from a backward() gradient."""

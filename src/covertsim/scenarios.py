@@ -3,7 +3,7 @@ channel heterogeneity for the three studied deployments."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,11 +47,10 @@ class ScenarioPreset:
             symbol_duration=self.symbol_duration, noise_variance=self.warden_sigma2[i],
         )
 
-    def bob_config(self, noise_variance: float) -> ChannelConfig:
-        return ChannelConfig(
-            n_taps=self.n_taps, rho=self.rho, doppler_hz=self.doppler_hz,
-            symbol_duration=self.symbol_duration, noise_variance=noise_variance,
-        )
+    def bob_config(self) -> ChannelConfig:
+        """Bob's channel; its noise variance is set per run from the SNR."""
+        return ChannelConfig(n_taps=self.n_taps, rho=self.rho, doppler_hz=self.doppler_hz,
+                             symbol_duration=self.symbol_duration)
 
     def averaged(self) -> "ScenarioPreset":
         """Collapse all wardens into one mean warden (single-discriminator baseline)."""

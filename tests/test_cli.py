@@ -14,7 +14,7 @@ import pytest
 
 import covertsim
 from covertsim import cli, evaluation, neuralnet
-from covertsim.adversarial import train
+from covertsim.adversarial import GeneratorSpec, TrainConfig, train
 from covertsim.cli import (
     CSV_HEADER,
     EXIT_OK,
@@ -101,6 +101,8 @@ def test_validate_names_offending_field(overrides, needle):
     ("[eval]\nepsilon = 0.1\n", "epsilon"),
     ("[runs]\nseed = 1\n", "runs"),
     ("[train]\niterations = many\n", "iterations"),
+    ("iterations = 5\n", "no section headers"),
+    ("[train]\nlr = 1e-3\nlr = 2e-3\n", "'lr'.*already exists"),
 ])
 def test_load_rejects_unknown_or_unparsable_keys(tmp_path, text, needle):
     path = tmp_path / "run.cfg"
@@ -120,6 +122,25 @@ def test_scenario_preset_custom_and_named():
     scen = cfg.scenario_preset()
     assert scen.k == 2 and scen.warden_sigma2 == (0.3, 0.7)
     assert RunConfig(scenario="military").scenario_preset().k == 4
+
+
+def test_default_config_matches_the_library_and_is_pinned():
+    cfg, spec, train_cfg = RunConfig(), GeneratorSpec(), TrainConfig()
+    for key in RunConfig._SECTIONS["generator"]:
+        if key == "power_dbm":
+            assert 10.0 ** (cfg.power_dbm / 10.0) == pytest.approx(spec.power)
+        else:
+            assert getattr(cfg, key) == getattr(spec, key), key
+    # lr is the one difference, and both defaults are read: config files
+    # train at 1e-3, while the pinned numbers and library-level training
+    # runs (the benchmark's train workloads) rely on TrainConfig's 1e-4
+    assert (cfg.lr, train_cfg.lr) == (1e-3, 1e-4)
+    for key in RunConfig._SECTIONS["train"]:
+        if key != "lr":
+            assert getattr(cfg, key) == getattr(train_cfg, key), key
+    assert cfg.target_pf == train_cfg.target_pf
+    # output names and manifests carry the digest; a default moving changes it
+    assert cfg.digest() == "1aabbdee"
 
 
 def test_digest_tracks_content():
@@ -227,6 +248,7 @@ def test_baseline_unknown_name(tmp_path):
     _, path = _tiny_config(tmp_path)
     assert main(["baseline", "jamming", "--config", str(path),
                  "--out", str(tmp_path / "runs")]) == EXIT_USAGE
+    assert not (tmp_path / "runs").exists()
 
 
 def test_sweep_unknown_name(tmp_path):
@@ -330,6 +352,16 @@ def test_usage_error_on_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("seeds", ["1,x", "1,,2"])
+def test_usage_error_on_malformed_seeds(tmp_path, seeds):
+    _, path = _tiny_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "csr-vs-epochs", "--config", str(path), "--seeds", seeds,
+              "--out", str(tmp_path / "runs")])
+    assert exc.value.code == EXIT_USAGE
+    assert not (tmp_path / "runs").exists()
 
 
 def test_train_seed_override_and_determinism(tmp_path):

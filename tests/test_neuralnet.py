@@ -234,23 +234,23 @@ def test_adam_first_step_hand_value():
     adam = AdamState(3, lr=1e-3, beta1=0.5, beta2=0.999)
     params = np.zeros(3)
     grads = np.array([1.0, -2.0, 0.5])
-    new = adam.step(params, grads)
+    adam.update(params, grads)
     expected = -1e-3 * grads / (np.abs(grads) + 1e-8)
-    np.testing.assert_allclose(new, expected, rtol=1e-6)
+    np.testing.assert_allclose(params, expected, rtol=1e-6)
 
 
 def test_adam_descends_quadratic():
     adam = AdamState(1, lr=0.1, beta1=0.5)
     x = np.array([5.0])
     for _ in range(200):
-        x = adam.step(x, 2 * x)
+        adam.update(x, 2 * x)
     assert abs(x[0]) < 0.5
 
 
 def test_adam_shape_check():
     adam = AdamState(3)
     with pytest.raises(ShapeError):
-        adam.step(np.zeros(4), np.zeros(4))
+        adam.update(np.zeros(4), np.zeros(4))
 
 
 def test_adam_step_applies_to_net():
@@ -290,10 +290,10 @@ def test_in_place_adam_matches_out_of_place(k, steps, seed):
                  for _ in range(steps)]
     adam = AdamState(net.params.shape, lr=1e-3)
     copy = AdamState(net.params.shape, lr=1e-3)
-    stepped = start
+    stepped = start.copy()
     for g in grads_seq:
         adam_step(adam, net, g)
-        stepped = copy.step(stepped, g)
+        copy.update(stepped, g)
     np.testing.assert_array_equal(net.params, stepped)
     np.testing.assert_array_equal(net.params, _adam_reference(start, grads_seq))
     # the (K, P) stack steps each row exactly as its own Adam would

@@ -39,7 +39,7 @@ def test_warden_and_bob_configs():
     scen = get_preset("urban")
     assert scen.warden_config(1).noise_variance == scen.warden_sigma2[1]
     assert scen.warden_config(0).n_taps == 4
-    assert scen.bob_config(0.1).noise_variance == 0.1
+    assert scen.bob_config().n_taps == scen.n_taps
 
 
 def test_averaged_collapses_to_mean_warden():
