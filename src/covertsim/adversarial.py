@@ -127,13 +127,17 @@ class System:
     wardens: DenseNet
     gen_spec: GeneratorSpec
     scenario: ScenarioPreset
-    lambdas: np.ndarray
     bob_sigma2: float
     loss_mode: str = "standard"
 
     @property
     def discriminators(self) -> list[DenseNet]:
         return self.wardens.rows()
+
+    @property
+    def lambdas(self) -> np.ndarray:
+        """The wardens' equal weights in the covertness loss."""
+        return np.full(self.scenario.k, 1.0 / self.scenario.k)
 
 
 def snr_db_to_bob_sigma2(power: float, snr_db: float) -> float:
@@ -187,8 +191,7 @@ def build_system(gen_spec: GeneratorSpec, scenario: ScenarioPreset, rng: RngStre
     dec_layers.append(LayerSpec(cdims[-1], gen_spec.message_bits, "tanh"))
     decoder = DenseNet(dec_layers, rng.child(2))
 
-    lambdas = np.full(scenario.k, 1.0 / scenario.k)
-    return System(generator, decoder, wardens, gen_spec, scenario, lambdas,
+    return System(generator, decoder, wardens, gen_spec, scenario,
                   snr_db_to_bob_sigma2(gen_spec.power, train_snr_db), loss_mode)
 
 

@@ -126,7 +126,8 @@ class RunConfig:
     @classmethod
     def load(cls, path) -> "RunConfig":
         """Read a config file; missing keys take defaults, unknown ones are refused."""
-        parser = configparser.ConfigParser()
+        # no header names "", so [DEFAULT] is refused like any unknown section
+        parser = configparser.ConfigParser(default_section="")
         try:
             if not parser.read(path):
                 raise FileNotFoundError(path)
@@ -150,10 +151,10 @@ class RunConfig:
     @staticmethod
     def _parse_field(raw, typ):
         typ = str(typ)
-        if typ.startswith("tuple[float"):
-            return tuple(float(v) for v in raw.split(",") if v.strip())
-        if typ.startswith("tuple[int"):
-            return tuple(int(v) for v in raw.split(",") if v.strip())
+        if typ.startswith("tuple["):
+            # only a wholly empty value is (), as in ``sigma2 =``; an empty entry is refused
+            item = float if typ.startswith("tuple[float") else int
+            return tuple(item(v) for v in raw.split(",")) if raw else ()
         if typ == "int":
             return int(raw)
         if typ == "float":
@@ -248,13 +249,13 @@ def _saved_config(header: dict) -> RunConfig:
                         for key, val in header["extra"].items()})
 
 
-def _run_config(args) -> RunConfig:
-    """The validated config of a run: ``--config``, else the one saved in
-    the checkpoint, with the ``--seed`` and ``--trials`` the subcommand has."""
+def _run_config(args, checkpoint=None) -> RunConfig:
+    """The validated config of a run: ``--config``, else the loaded checkpoint's,
+    with the ``--seed`` and ``--trials`` the subcommand has."""
     if args.config:
         cfg = RunConfig.load(args.config)
     else:
-        cfg = _saved_config(load_checkpoint(args.checkpoint)[1])
+        cfg = _saved_config(checkpoint[1])
     for key in ("seed", "trials"):
         if getattr(args, key, None) is not None:
             setattr(cfg, key, getattr(args, key))
@@ -262,14 +263,12 @@ def _run_config(args) -> RunConfig:
     return cfg
 
 
-def _system_from_checkpoint(path, cfg: RunConfig | None = None) -> System:
-    """Rebuild a trained system; cfg (default: the one saved with it) sets
-    the scenario and generator shape, while the saved config always sets the
-    loss mode and Bob's training SNR the nets were trained for."""
-    nets, header = load_checkpoint(path)
+def _system_from_checkpoint(checkpoint, cfg: RunConfig) -> System:
+    """Rebuild a trained system from a loaded ``(nets, header)`` checkpoint;
+    cfg sets the scenario and generator shape, while the saved config sets
+    the loss mode and Bob's training SNR the nets were trained for."""
+    nets, header = checkpoint
     saved = _saved_config(header)
-    if cfg is None:
-        cfg = saved
     scen = cfg.scenario_preset()
     spec = cfg.generator_spec()
     k = sum(1 for name in nets if name.startswith("disc_"))
@@ -318,8 +317,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _run_config(args)
-    system = _system_from_checkpoint(args.checkpoint, cfg)
+    # a --config is validated before the checkpoint is read
+    checkpoint = None if args.config else load_checkpoint(args.checkpoint)
+    cfg = _run_config(args, checkpoint)
+    system = _system_from_checkpoint(checkpoint or load_checkpoint(args.checkpoint), cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = evaluation.evaluate_system(system, cfg.trials, RngStream(cfg.seed, 7),
@@ -404,10 +405,6 @@ def _seed_list(text: str) -> list[int]:
 
 def cmd_sweep(args) -> int:
     cfg = _run_config(args)
-    if args.sweep not in evaluation.SWEEP_NAMES:
-        print(f"unknown sweep {args.sweep!r}; valid: {', '.join(evaluation.SWEEP_NAMES)}",
-              file=sys.stderr)
-        return EXIT_USAGE
     seeds = args.seeds or [cfg.seed]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -431,10 +428,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_baseline(args) -> int:
     cfg = _run_config(args)
-    if args.name not in ("noise-injection", "single-disc"):
-        print(f"unknown baseline {args.name!r}; valid: noise-injection, single-disc",
-              file=sys.stderr)
-        return EXIT_USAGE
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     scen = cfg.scenario_preset()
@@ -516,14 +509,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="run a named experiment sweep")
-    p.add_argument("sweep")
+    p.add_argument("sweep", choices=evaluation.SWEEP_NAMES)
     p.add_argument("--config", required=True)
     p.add_argument("--seeds", type=_seed_list)
     p.add_argument("--out", default="runs")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("baseline", help="run a named baseline through the eval path")
-    p.add_argument("name")
+    p.add_argument("name", choices=("noise-injection", "single-disc"))
     p.add_argument("--config", required=True)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--seed", type=int)

@@ -9,7 +9,7 @@ rate on fresh H0 samples) and through the genie LRT bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .adversarial import (
     csr_from_detections,  # noqa: F401 - part of this module's API
     decode_ber,
     generate_signal,
+    project_power,
     sample_bob_taps,
     sample_latents,
     sample_messages,
@@ -155,9 +156,7 @@ class NoiseInjectionTransmitter:
         mask = sample_awgn(self.spec.n, 1.0, gen, count=m.shape[0])
         mask *= np.sqrt((1.0 - self.alpha) * p) \
             / np.maximum(np.sqrt(np.sum(np.abs(mask) ** 2, axis=1, keepdims=True)), 1e-300)
-        s = sig + mask
-        e = np.sum(np.abs(s) ** 2, axis=1, keepdims=True)
-        return s * np.minimum(1.0, np.sqrt(p / np.maximum(e, 1e-300)))
+        return project_power(sig + mask, p)[0]
 
     def decode(self, y: np.ndarray, taps: np.ndarray) -> np.ndarray:
         """Matched-filter decode with perfect CSI: correlate against each
@@ -165,10 +164,7 @@ class NoiseInjectionTransmitter:
         y = np.atleast_2d(y)
         batch, n = y.shape
         m_bits = self.spec.message_bits
-        reps = n // m_bits
-        basis = np.zeros((m_bits, n))
-        for j in range(m_bits):
-            basis[j, j * reps:(j + 1) * reps] = 1.0 / np.sqrt(n)
+        basis = self.chips(np.eye(m_bits))  # bit j's chip pattern in row j
         out = np.empty((batch, m_bits))
         for j in range(m_bits):
             ref = propagate(np.broadcast_to(basis[j].astype(complex), (batch, n)), taps)
@@ -224,7 +220,6 @@ def single_discriminator_baseline(cfg: TrainConfig, scenario: ScenarioPreset,
     system, log = train(cfg, scenario.averaged(), rng, gen_spec=gen_spec)
     system.scenario = scenario
     system.wardens = DenseNet.stack(system.discriminators * scenario.k)
-    system.lambdas = np.full(scenario.k, 1.0 / scenario.k)
     return system, log
 
 
@@ -244,95 +239,89 @@ class SweepPoint:
     seed: int
 
 
-SWEEP_NAMES = ("pd-vs-k", "ber-vs-snr", "csr-vs-epochs", "pd-distribution",
-               "adaptive", "ber-vs-layers")
+def _pd_vs_k(cfg: TrainConfig, spec: GeneratorSpec, rng: RngStream, trials: int):
+    for k in (2, 3, 4, 5):
+        scen = scenarios.make_scenario(k)
+        system, _ = train(cfg, scen, rng.child(k), gen_spec=spec)
+        rep = evaluate_system(system, trials, rng.child(1000 + k),
+                              target_pf=cfg.target_pf, snr_db=cfg.train_snr_db)
+        yield scen, "proposed", "mean_pd", k, rep.mean_pd, _binom_se(rep.mean_pd, trials)
+        yield scen, "proposed-lrt", "mean_pd", k, rep.mean_pd_lrt, 0.0
+        tx, _ = match_noise_injection_alpha(max(rep.ber, 0.01), spec, scen,
+                                            cfg.train_snr_db, trials, rng.child(2000 + k))
+        pds = noise_injection_pd_lrt(tx, scen, trials, rng.child(3000 + k),
+                                     rng.child(4000 + k), target_pf=cfg.target_pf)
+        yield scen, "noise-injection", "mean_pd", k, float(np.mean(pds)), 0.0
+
+
+def _ber_vs_snr(cfg: TrainConfig, spec: GeneratorSpec, rng: RngStream, trials: int):
+    scen = scenarios.get_preset("urban")
+    snrs = [0, 5, 10, 15, 20]
+    system, _ = train(cfg, scen, rng.child(1), gen_spec=spec)
+    for snr_db, ber, se in measure_ber(system, snrs, trials, rng.child(2)):
+        yield scen, "proposed", "ber", snr_db, ber, se
+    tx = NoiseInjectionTransmitter(0.5, spec)
+    for snr_db in snrs:
+        ber = noise_injection_ber(tx, scen, snr_db, trials, rng.child(100 + snr_db))
+        yield scen, "noise-injection", "ber", snr_db, ber, _binom_se(ber, trials)
+
+
+def _csr_vs_epochs(cfg: TrainConfig, spec: GeneratorSpec, rng: RngStream, trials: int):
+    scen = scenarios.get_preset("urban")
+    _, log = train(cfg, scen, rng.child(1), gen_spec=spec)
+    for snap in log.snapshots:
+        yield (scen, "proposed", "csr", snap["iteration"], snap["csr"],
+               _binom_se(snap["csr"], snap["trials"]))
+
+
+def _pd_distribution(cfg: TrainConfig, spec: GeneratorSpec, rng: RngStream, trials: int):
+    scen = scenarios.get_preset("6g-dense")
+    system, _ = train(cfg, scen, rng.child(1), gen_spec=spec)
+    per_warden, _, _ = measure_detection(system, trials, rng.child(2),
+                                         target_pf=cfg.target_pf)
+    for i, w in enumerate(per_warden):
+        yield scen, "proposed", "pd", i, w.pd, _binom_se(w.pd, trials)
+    tx = NoiseInjectionTransmitter(0.5, spec)
+    pds = noise_injection_pd_lrt(tx, scen, trials, rng.child(3), rng.child(4),
+                                 target_pf=cfg.target_pf)
+    for i, pd in enumerate(pds):
+        yield scen, "noise-injection", "pd", i, pd, 0.0
+
+
+def _adaptive(cfg: TrainConfig, spec: GeneratorSpec, rng: RngStream, trials: int):
+    scen = scenarios.get_preset("urban")
+    system, _ = train(cfg, scen, rng.child(1), gen_spec=spec)
+    for it, val in enumerate(adaptive_warden_loop(system, rng.child(2))):
+        yield scen, "proposed", "covert_metric", it, float(val), 0.0
+
+
+def _ber_vs_layers(cfg: TrainConfig, spec: GeneratorSpec, rng: RngStream, trials: int):
+    # depth of the generator's hidden stack (the decoder's stays fixed)
+    scen = scenarios.get_preset("urban")
+    for depth in (3, 5, 8, 10):
+        system, _ = train(cfg, scen, rng.child(depth),
+                          gen_spec=replace(spec, hidden=(64,) * depth))
+        (_, ber, se), = measure_ber(system, [20.0], trials, rng.child(1000 + depth))
+        yield scen, "proposed", "ber", depth, ber, se
+
+
+# each sweep yields (scenario, method, metric, x, value, stderr) rows
+SWEEPS = {"pd-vs-k": _pd_vs_k, "ber-vs-snr": _ber_vs_snr, "csr-vs-epochs": _csr_vs_epochs,
+          "pd-distribution": _pd_distribution, "adaptive": _adaptive,
+          "ber-vs-layers": _ber_vs_layers}
+SWEEP_NAMES = tuple(SWEEPS)
 
 
 def run_sweeps(which: str, cfg: TrainConfig, rng: RngStream,
                gen_spec: GeneratorSpec | None = None,
                trials: int = 2000) -> list[SweepPoint]:
-    """Run one named experiment sweep; returns plot-ready rows."""
-    if which not in SWEEP_NAMES:
+    """Run one named experiment sweep into plot-ready rows, training with
+    gen_spec (default ``GeneratorSpec()``) and detecting at ``cfg.target_pf``."""
+    if which not in SWEEPS:
         raise DomainError(f"unknown sweep {which!r}; valid: {SWEEP_NAMES}")
-    if gen_spec is None:
-        gen_spec = GeneratorSpec()
-    points: list[SweepPoint] = []
-    seed = rng.seed
-
-    if which == "pd-vs-k":
-        for k in (2, 3, 4, 5):
-            scen = scenarios.make_scenario(k)
-            system, _ = train(cfg, scen, rng.child(k))
-            rep = evaluate_system(system, trials, rng.child(1000 + k),
-                                  snr_db=cfg.train_snr_db)
-            points.append(SweepPoint("proposed", scen.name, k, "mean_pd", k,
-                                     rep.mean_pd, _binom_se(rep.mean_pd, trials), seed))
-            points.append(SweepPoint("proposed-lrt", scen.name, k, "mean_pd", k,
-                                     rep.mean_pd_lrt, 0.0, seed))
-            tx, _ = match_noise_injection_alpha(max(rep.ber, 0.01), gen_spec, scen,
-                                                cfg.train_snr_db, trials,
-                                                rng.child(2000 + k))
-            pds = noise_injection_pd_lrt(tx, scen, trials, rng.child(3000 + k),
-                                         rng.child(4000 + k))
-            points.append(SweepPoint("noise-injection", scen.name, k, "mean_pd", k,
-                                     float(np.mean(pds)), 0.0, seed))
-        return points
-
-    if which == "ber-vs-snr":
-        scen = scenarios.get_preset("urban")
-        system, _ = train(cfg, scen, rng.child(1))
-        for snr_db, ber, se in measure_ber(system, [0, 5, 10, 15, 20], trials,
-                                           rng.child(2)):
-            points.append(SweepPoint("proposed", scen.name, scen.k, "ber",
-                                     snr_db, ber, se, seed))
-        tx = NoiseInjectionTransmitter(0.5, gen_spec)
-        for snr_db in (0, 5, 10, 15, 20):
-            ber = noise_injection_ber(tx, scen, snr_db, trials, rng.child(100 + snr_db))
-            points.append(SweepPoint("noise-injection", scen.name, scen.k, "ber",
-                                     snr_db, ber, _binom_se(ber, trials), seed))
-        return points
-
-    if which == "csr-vs-epochs":
-        scen = scenarios.get_preset("urban")
-        _, log = train(cfg, scen, rng.child(1))
-        for snap in log.snapshots:
-            points.append(SweepPoint("proposed", scen.name, scen.k, "csr",
-                                     snap["iteration"], snap["csr"],
-                                     _binom_se(snap["csr"], snap["trials"]), seed))
-        return points
-
-    if which == "pd-distribution":
-        scen = scenarios.get_preset("6g-dense")
-        system, _ = train(cfg, scen, rng.child(1))
-        per_warden, _, _ = measure_detection(system, trials, rng.child(2))
-        for i, w in enumerate(per_warden):
-            points.append(SweepPoint("proposed", scen.name, scen.k, "pd", i,
-                                     w.pd, _binom_se(w.pd, trials), seed))
-        tx = NoiseInjectionTransmitter(0.5, gen_spec)
-        for i, pd in enumerate(noise_injection_pd_lrt(tx, scen, trials, rng.child(3),
-                                                      rng.child(4))):
-            points.append(SweepPoint("noise-injection", scen.name, scen.k, "pd", i,
-                                     pd, 0.0, seed))
-        return points
-
-    if which == "adaptive":
-        scen = scenarios.get_preset("urban")
-        system, _ = train(cfg, scen, rng.child(1))
-        metric = adaptive_warden_loop(system, rng.child(2))
-        for it, val in enumerate(metric):
-            points.append(SweepPoint("proposed", scen.name, scen.k,
-                                     "covert_metric", it, float(val), 0.0, seed))
-        return points
-
-    # ber-vs-layers: depth of generator and decoder hidden stacks together
-    scen = scenarios.get_preset("urban")
-    for depth in (3, 5, 8, 10):
-        spec = GeneratorSpec(hidden=(64,) * depth)
-        system, _ = train(cfg, scen, rng.child(depth), gen_spec=spec)
-        rows = measure_ber(system, [20.0], trials, rng.child(1000 + depth))
-        points.append(SweepPoint("proposed", scen.name, scen.k, "ber",
-                                 depth, rows[0][1], rows[0][2], seed))
-    return points
+    rows = SWEEPS[which](cfg, gen_spec or GeneratorSpec(), rng, trials)
+    return [SweepPoint(method, scen.name, scen.k, metric, x, value, stderr, rng.seed)
+            for scen, method, metric, x, value, stderr in rows]
 
 
 def _binom_se(p: float, n: int) -> float:

@@ -27,7 +27,6 @@ from covertsim.cli import (
     main,
 )
 from covertsim.evaluation import evaluate_system
-from covertsim.neuralnet import StateError
 from covertsim.numerics import RngStream
 
 
@@ -103,6 +102,9 @@ def test_validate_names_offending_field(overrides, needle):
     ("[train]\niterations = many\n", "iterations"),
     ("iterations = 5\n", "no section headers"),
     ("[train]\nlr = 1e-3\nlr = 2e-3\n", "'lr'.*already exists"),
+    ("[DEFAULT]\niterations = 5\n", "DEFAULT"),
+    ("[DEFAULT]\niterations = 5\n[train]\nbatch = 8\n", "DEFAULT"),
+    ("[generator]\nhidden = 64,,64\n", "hidden"),
 ])
 def test_load_rejects_unknown_or_unparsable_keys(tmp_path, text, needle):
     path = tmp_path / "run.cfg"
@@ -115,6 +117,12 @@ def test_load_fills_missing_keys_with_defaults(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("[train]\niterations = 5\n")
     assert RunConfig.load(path) == RunConfig(iterations=5)
+
+
+def test_load_reads_tuples_and_a_wholly_empty_value(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("[scenario]\nsigma2 =\n[generator]\nhidden = 16, 8\n")
+    assert RunConfig.load(path) == RunConfig(sigma2=(), hidden=(16, 8))
 
 
 def test_scenario_preset_custom_and_named():
@@ -191,14 +199,23 @@ def test_train_eval_report_pipeline(tmp_path, capsys):
     assert len(srows) == 2
 
 
-def test_eval_checkpoint_without_config(tmp_path):
+def test_eval_checkpoint_without_config(tmp_path, monkeypatch):
     cfg, path = _tiny_config(tmp_path)
     out = tmp_path / "runs"
     main(["train", "--config", str(path), "--out", str(out)])
     ckpt = out / f"ckpt_{cfg.digest()}_s0.npz"
+    loads = []
+
+    def counting_load(path):
+        loads.append(path)
+        return neuralnet.load_checkpoint(path)
+
+    monkeypatch.setattr(cli, "load_checkpoint", counting_load)
     # header metadata alone must be enough to rebuild the system
     assert main(["eval", str(ckpt), "--trials", "400",
                  "--out", str(out)]) == EXIT_OK
+    # the saved config and the nets come from one read
+    assert len(loads) == 1
 
 
 def test_eval_without_config_uses_the_saved_config(tmp_path):
@@ -246,15 +263,20 @@ def test_baseline_noise_injection(tmp_path):
 
 def test_baseline_unknown_name(tmp_path):
     _, path = _tiny_config(tmp_path)
-    assert main(["baseline", "jamming", "--config", str(path),
-                 "--out", str(tmp_path / "runs")]) == EXIT_USAGE
+    with pytest.raises(SystemExit) as exc:
+        main(["baseline", "jamming", "--config", str(path),
+              "--out", str(tmp_path / "runs")])
+    assert exc.value.code == EXIT_USAGE
     assert not (tmp_path / "runs").exists()
 
 
 def test_sweep_unknown_name(tmp_path):
     _, path = _tiny_config(tmp_path)
-    assert main(["sweep", "no-such", "--config", str(path),
-                 "--out", str(tmp_path / "runs")]) == EXIT_USAGE
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "no-such", "--config", str(path),
+              "--out", str(tmp_path / "runs")])
+    assert exc.value.code == EXIT_USAGE
+    assert not (tmp_path / "runs").exists()
 
 
 def _read_rows(path):
@@ -393,18 +415,21 @@ def test_checkpoint_round_trip_reproduces_the_system(tmp_path):
     system, _ = train(cfg.train_config(), cfg.scenario_preset(), RngStream(cfg.seed),
                       gen_spec=cfg.generator_spec())
     expected = evaluate_system(system, 200, RngStream(5))
-    for reloaded in (_system_from_checkpoint(ckpt), _system_from_checkpoint(ckpt, cfg)):
+    checkpoint = neuralnet.load_checkpoint(ckpt)
+    for eval_cfg in (cli._saved_config(checkpoint[1]), cfg):
+        reloaded = _system_from_checkpoint(checkpoint, eval_cfg)
         assert reloaded.loss_mode == "wasserstein"
         assert reloaded.bob_sigma2 == system.bob_sigma2
         np.testing.assert_array_equal(reloaded.lambdas, system.lambdas)
         assert evaluate_system(reloaded, 200, RngStream(5)) == expected
 
 
-def test_checkpoint_from_older_schema_is_refused(tmp_path, monkeypatch):
+def test_checkpoint_from_older_schema_is_refused(tmp_path, monkeypatch, capsys):
     cfg, path = _tiny_config(tmp_path)
     out = tmp_path / "runs"
     monkeypatch.setattr(neuralnet, "CHECKPOINT_VERSION", 1)
     assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_OK
     monkeypatch.undo()
-    with pytest.raises(StateError, match="version 1"):
-        _system_from_checkpoint(out / f"ckpt_{cfg.digest()}_s0.npz")
+    assert main(["eval", str(out / f"ckpt_{cfg.digest()}_s0.npz"),
+                 "--out", str(out)]) == EXIT_RUNTIME
+    assert "version 1" in capsys.readouterr().err

@@ -5,6 +5,9 @@ the experiment sweeps."""
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
+from covertsim import evaluation
 from covertsim.adversarial import GeneratorSpec, TrainConfig, build_system, train
 from covertsim.evaluation import (
     NoiseInjectionTransmitter,
@@ -192,3 +195,30 @@ def test_csr_vs_epochs_sweep_points():
     assert [p.x for p in points] == [0, 5, 10]
     assert all(p.metric == "csr" for p in points)
     assert all(0.0 <= p.value <= 1.0 for p in points)
+
+
+@pytest.mark.parametrize("name", SWEEP_NAMES)
+def test_sweeps_train_with_the_spec_and_detect_at_the_target_pf(name, monkeypatch):
+    specs, pfs = [], []
+
+    def recording(fn, record):
+        def wrapper(*args, **kwargs):
+            record(args, kwargs)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(evaluation, "train", recording(
+        train, lambda args, kwargs: specs.append(kwargs["gen_spec"])))
+    for fn in ("warden_detection", "pd_at_target_pf"):
+        monkeypatch.setattr(evaluation, fn, recording(
+            getattr(evaluation, fn), lambda args, kwargs: pfs.append(args[-1])))
+    # the adaptive wardens' 5,000 iterations add nothing to check here
+    monkeypatch.setattr(evaluation, "adaptive_warden_loop", lambda system, rng: [0.5])
+    cfg = TrainConfig(**TINY_CFG, target_pf=0.05)
+    points = run_sweeps(name, cfg, RngStream(0), gen_spec=TINY_SPEC, trials=200)
+    assert points
+    # ber-vs-layers varies the hidden stack and keeps the rest of the spec
+    assert specs and all(replace(s, hidden=TINY_SPEC.hidden) == TINY_SPEC for s in specs)
+    assert set(pfs) <= {0.05}
+    if name in ("pd-vs-k", "pd-distribution"):
+        assert pfs

@@ -1,6 +1,7 @@
 """Pins short training runs (urban, 6g-dense, wasserstein urban) and their
 evaluation, an evaluation and the genie-LRT kernels over several row blocks,
-the adaptive wardens and the genie-LRT baseline to recorded values.
+the adaptive wardens, the genie-LRT baseline and the rows of every sweep to
+recorded values.
 
 The acceptance determinism gate replays a run within one process, so it
 cannot see a change that reorders the random draws; these literals can.
@@ -8,13 +9,15 @@ A change that alters the draw order on purpose must re-record them and
 say so.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from covertsim.adversarial import TrainConfig, adaptive_warden_loop, train
 from covertsim.channel import ChannelConfig
 from covertsim.detection import LrtWarden, calibrate_threshold, monte_carlo_roc
-from covertsim.evaluation import evaluate_system, lrt_detection_for_signals
+from covertsim.evaluation import evaluate_system, lrt_detection_for_signals, run_sweeps
 from covertsim.numerics import RngStream
 from covertsim.scenarios import get_preset
 
@@ -197,3 +200,86 @@ def test_blocked_lrt_kernels_are_pinned():
     warden = LrtWarden(x, 1.0, calibrate_threshold(x, 1.0, 0.1))
     report = monte_carlo_roc(warden, ChannelConfig(), x, 2500, RngStream(3))
     assert (report.pd, report.pf) == pytest.approx((0.8364, 0.2536), rel=REL)
+
+
+TINY_TRAIN = TrainConfig(iterations=4, batch=16, disc_warmup=2, snapshot_every=2,
+                         snapshot_trials=128)
+
+# every sweep at seed 0, TINY_TRAIN, the default generator and 200 trials;
+# rows are (method, scenario, K, metric, x, value, stderr)
+SWEEP_ROWS = {
+    "pd-vs-k": [
+        ("proposed", "custom", 2, "mean_pd", 2, 0.2, 0.028284271247461905),
+        ("proposed-lrt", "custom", 2, "mean_pd", 2, 0.9929978352621227, 0.0),
+        ("noise-injection", "custom", 2, "mean_pd", 2, 0.9997066180268499, 0.0),
+        ("proposed", "custom", 3, "mean_pd", 3, 0.24666666666666667, 0.03048132397241155),
+        ("proposed-lrt", "custom", 3, "mean_pd", 3, 0.9964809391327941, 0.0),
+        ("noise-injection", "custom", 3, "mean_pd", 3, 0.999261797999289, 0.0),
+        ("proposed", "custom", 4, "mean_pd", 4, 0.19125, 0.027809480173135205),
+        ("proposed-lrt", "custom", 4, "mean_pd", 4, 0.9845539506116464, 0.0),
+        ("noise-injection", "custom", 4, "mean_pd", 4, 0.9994823644090938, 0.0),
+        ("proposed", "custom", 5, "mean_pd", 5, 0.15999999999999998, 0.02592296279363144),
+        ("proposed-lrt", "custom", 5, "mean_pd", 5, 0.9793921404088086, 0.0),
+        ("noise-injection", "custom", 5, "mean_pd", 5, 0.9991962026154315, 0.0),
+    ],
+    "ber-vs-snr": [
+        ("proposed", "urban", 3, "ber", 0, 0.5075, 0.012498593670889537),
+        ("proposed", "urban", 3, "ber", 5, 0.485, 0.012494373733805148),
+        ("proposed", "urban", 3, "ber", 10, 0.508125, 0.012498349500409045),
+        ("proposed", "urban", 3, "ber", 15, 0.505625, 0.012499208959345188),
+        ("proposed", "urban", 3, "ber", 20, 0.491875, 0.012498349500409043),
+        ("noise-injection", "urban", 3, "ber", 0, 0.245625, 0.030437917091598106),
+        ("noise-injection", "urban", 3, "ber", 5, 0.16, 0.02592296279363144),
+        ("noise-injection", "urban", 3, "ber", 10, 0.085625, 0.019785519878815418),
+        ("noise-injection", "urban", 3, "ber", 15, 0.04375, 0.014463045581757667),
+        ("noise-injection", "urban", 3, "ber", 20, 0.02375, 0.010767064943613928),
+    ],
+    "csr-vs-epochs": [
+        ("proposed", "urban", 3, "csr", 0, 0.6796875, 0.041241703933161476),
+        ("proposed", "urban", 3, "csr", 2, 0.546875, 0.04399953252370629),
+        ("proposed", "urban", 3, "csr", 4, 0.59375, 0.043410372599400136),
+    ],
+    "pd-distribution": [
+        ("proposed", "6g-dense", 5, "pd", 0, 0.175, 0.026867731575255845),
+        ("proposed", "6g-dense", 5, "pd", 1, 0.125, 0.023385358667337135),
+        ("proposed", "6g-dense", 5, "pd", 2, 0.1, 0.021213203435596427),
+        ("proposed", "6g-dense", 5, "pd", 3, 0.035, 0.012995191418367026),
+        ("proposed", "6g-dense", 5, "pd", 4, 0.17, 0.02656124997058685),
+        ("noise-injection", "6g-dense", 5, "pd", 0, 0.9988037946871665, 0.0),
+        ("noise-injection", "6g-dense", 5, "pd", 1, 0.9987291529827825, 0.0),
+        ("noise-injection", "6g-dense", 5, "pd", 2, 0.9996998994116533, 0.0),
+        ("noise-injection", "6g-dense", 5, "pd", 3, 0.9990954647700027, 0.0),
+        ("noise-injection", "6g-dense", 5, "pd", 4, 0.9996522807217749, 0.0),
+    ],
+    "ber-vs-layers": [
+        ("proposed", "urban", 3, "ber", 3, 0.52, 0.012489995996796796),
+        ("proposed", "urban", 3, "ber", 5, 0.52, 0.012489995996796796),
+        ("proposed", "urban", 3, "ber", 8, 0.485625, 0.012494832916424893),
+        ("proposed", "urban", 3, "ber", 10, 0.483125, 0.012492878830933045),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_ROWS))
+def test_sweep_rows_are_pinned(name):
+    points = run_sweeps(name, TINY_TRAIN, RngStream(0), trials=200)
+    expected = SWEEP_ROWS[name]
+    assert [(p.method, p.scenario, p.k, p.metric, p.x) for p in points] == \
+        [row[:5] for row in expected]
+    assert [v for p in points for v in (p.value, p.stderr)] == pytest.approx(
+        [v for row in expected for v in row[5:]], rel=REL)
+    assert {p.seed for p in points} == {0}
+
+
+def test_adaptive_sweep_rows_are_pinned():
+    # 5,000 iterations of the adaptive wardens: pinned by samples and their sum
+    points = run_sweeps("adaptive", TINY_TRAIN, RngStream(0), trials=200)
+    assert {(p.method, p.scenario, p.k, p.metric, p.stderr, p.seed) for p in points} == {
+        ("proposed", "urban", 3, "covert_metric", 0.0, 0)}
+    assert [p.x for p in points] == list(range(5000))
+    values = [p.value for p in points]
+    assert values[::500] + values[-1:] == pytest.approx(
+        [0.5, 0.5, 0.32494077286228945, 0.30571879591220974, 0.3475496553568034,
+         0.3528695513910942, 0.4159723095318255, 0.10188460950821125,
+         0.20049163939455042, 0.3715542621152441, 0.2254877608859588], rel=REL)
+    assert math.fsum(values) == pytest.approx(1613.1353756513508, rel=REL)
