@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -30,6 +31,7 @@ from .adversarial import (
     GeneratorSpec,
     System,
     TrainConfig,
+    TrainLog,
     build_system,
     train,
 )
@@ -263,6 +265,19 @@ def _run_config(args, checkpoint=None) -> RunConfig:
     return cfg
 
 
+def _nets(system: System) -> dict[str, DenseNet]:
+    """A system's nets under their checkpoint names."""
+    return {"generator": system.generator, "decoder": system.decoder,
+            **{f"disc_{i}": disc for i, disc in enumerate(system.discriminators)}}
+
+
+def _load_nets(system: System, nets: dict[str, DenseNet]) -> System:
+    """Put a checkpoint's nets into a system built for them."""
+    system.generator, system.decoder = nets["generator"], nets["decoder"]
+    system.wardens = DenseNet.stack([nets[f"disc_{i}"] for i in range(system.scenario.k)])
+    return system
+
+
 def _system_from_checkpoint(checkpoint, cfg: RunConfig) -> System:
     """Rebuild a trained system from a loaded ``(nets, header)`` checkpoint;
     cfg sets the scenario and generator shape, while the saved config sets
@@ -277,20 +292,15 @@ def _system_from_checkpoint(checkpoint, cfg: RunConfig) -> System:
             f"checkpoint has {k} discriminators but scenario {scen.name!r} has {scen.k} wardens")
     system = build_system(spec, scen, RngStream(0), loss_mode=saved.loss_mode,
                           train_snr_db=saved.train_snr_db)
-    built = {"generator": system.generator, "decoder": system.decoder,
-             **{f"disc_{i}": disc for i, disc in enumerate(system.discriminators)}}
 
     def layers(net):
         # dropout acts only in training, so an eval config may change it
         return [(s.in_dim, s.out_dim, s.activation) for s in net.specs]
 
-    for name, net in built.items():
+    for name, net in _nets(system).items():
         if layers(nets[name]) != layers(net):
             raise ValidationError(f"checkpoint {name} layers do not match the config")
-    system.generator = nets["generator"]
-    system.decoder = nets["decoder"]
-    system.wardens = DenseNet.stack([nets[f"disc_{i}"] for i in range(k)])
-    return system
+    return _load_nets(system, nets)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +316,8 @@ def cmd_train(args) -> int:
     system, log = train(cfg.train_config(), cfg.scenario_preset(), rng,
                         gen_spec=cfg.generator_spec())
     tag = f"{cfg.digest()}_s{cfg.seed}"
-    nets = {"generator": system.generator, "decoder": system.decoder}
-    for i, disc in enumerate(system.discriminators):
-        nets[f"disc_{i}"] = disc
-    save_checkpoint(out_dir / f"ckpt_{tag}.npz", nets, cfg.seed, extra=dataclasses.asdict(cfg))
+    save_checkpoint(out_dir / f"ckpt_{tag}.npz", _nets(system), cfg.seed,
+                    extra=dataclasses.asdict(cfg))
     _write_trainlog(out_dir / f"trainlog_{tag}.jsonl", log)
     _write_manifest(out_dir, cfg, "train", [cfg.seed])
     print(f"trained {cfg.scenario} seed={cfg.seed} -> ckpt_{tag}.npz")
@@ -386,11 +394,47 @@ def _map_seeds(fn, seeds: list[int]) -> list:
         return list(pool.map(fn, seeds))
 
 
-def _sweep_rows(sweep: str, cfg: RunConfig, seed: int) -> list[list]:
-    """The CSV rows of one seed of a sweep."""
+@functools.cache
+def _source_digest() -> str:
+    """sha256 of this package's source files."""
+    files = sorted(Path(__file__).parent.glob("*.py"))
+    return hashlib.sha256(b"".join(f.name.encode() + f.read_bytes() for f in files)).hexdigest()
+
+
+def _training_key(cfg: TrainConfig, scen, rng: RngStream, spec: GeneratorSpec) -> dict:
+    """Everything ``train`` reads, so a changed config or program gets a new key."""
+    return {"train": dataclasses.asdict(cfg), "scenario": dataclasses.asdict(scen),
+            "generator": dataclasses.asdict(spec), "rng": [rng.seed, rng.stream_id],
+            "numpy": np.__version__, "source": _source_digest()}
+
+
+def _cached_train(store: Path, cfg: TrainConfig, scen: scenarios.ScenarioPreset,
+                  rng: RngStream, gen_spec: GeneratorSpec) -> tuple[System, TrainLog]:
+    """``train``, kept as ``store/<sha256 of its key>.npz`` and loaded from there
+    when asked for again; an entry that cannot be read is trained again."""
+    key = _training_key(cfg, scen, rng, gen_spec)
+    path = store / f"{hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()}.npz"
+    with contextlib.suppress(Exception):  # a missing or unreadable entry is trained
+        nets, header = load_checkpoint(path)
+        system = build_system(gen_spec, scen, RngStream(0), loss_mode=cfg.loss_mode,
+                              train_snr_db=cfg.train_snr_db)
+        return _load_nets(system, nets), TrainLog(**header["extra"]["log"])
+    system, log = train(cfg, scen, rng, gen_spec=gen_spec)
+    store.mkdir(parents=True, exist_ok=True)
+    # np.savez appends .npz to any other name; os.replace never shows a partial entry
+    tmp = path.with_suffix(f".{os.getpid()}.npz")
+    save_checkpoint(tmp, _nets(system), rng.seed,
+                    extra={"key": key, "log": dataclasses.asdict(log)})
+    os.replace(tmp, path)
+    return system, log
+
+
+def _sweep_rows(sweep: str, cfg: RunConfig, store: Path, seed: int) -> list[list]:
+    """The CSV rows of one seed of a sweep, its trainings kept in store."""
     points = evaluation.run_sweeps(sweep, cfg.train_config(), RngStream(seed),
                                    gen_spec=cfg.generator_spec(),
-                                   trials=min(cfg.trials, 2000))
+                                   trials=min(cfg.trials, 2000),
+                                   train_fn=functools.partial(_cached_train, store))
     return [[p.method, p.scenario, p.k, f"{p.metric}@{p.x:g}", p.value, p.stderr, p.seed]
             for p in points]
 
@@ -408,7 +452,8 @@ def cmd_sweep(args) -> int:
     seeds = args.seeds or [cfg.seed]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    per_seed = _map_seeds(functools.partial(_sweep_rows, args.sweep, cfg), seeds)
+    per_seed = _map_seeds(functools.partial(_sweep_rows, args.sweep, cfg, out_dir / "trained"),
+                          seeds)
     rows = [row for seed_rows in per_seed for row in seed_rows]
     summary = []
     for method in sorted({r[0] for r in rows}):
@@ -416,8 +461,8 @@ def cmd_sweep(args) -> int:
         summary.append([method, "summary", "", "mean_value",
                         float(np.mean(vals)), float(np.std(vals)), ""])
     if args.sweep == "csr-vs-epochs":
-        csr_vals = [r[4] for r in rows if r[3].startswith("csr")]
-        trend = "increasing" if csr_vals and csr_vals[-1] > csr_vals[0] else "flat"
+        csr = np.array([[r[4] for r in seed_rows] for seed_rows in per_seed])
+        trend = "increasing" if csr.size and csr[:, -1].mean() > csr[:, 0].mean() else "flat"
         summary.append(["proposed", "summary", "", "csr_trend", trend, "", ""])
     path = out_dir / f"sweep_{args.sweep}_{cfg.digest()}.csv"
     _write_csv(path, rows + summary)

@@ -239,10 +239,11 @@ class SweepPoint:
     seed: int
 
 
-def _pd_vs_k(cfg: TrainConfig, spec: GeneratorSpec, rng: RngStream, trials: int):
+def _pd_vs_k(cfg: TrainConfig, spec: GeneratorSpec, rng: RngStream, trials: int,
+             train_fn):
     for k in (2, 3, 4, 5):
         scen = scenarios.make_scenario(k)
-        system, _ = train(cfg, scen, rng.child(k), gen_spec=spec)
+        system, _ = train_fn(cfg, scen, rng.child(k), gen_spec=spec)
         rep = evaluate_system(system, trials, rng.child(1000 + k),
                               target_pf=cfg.target_pf, snr_db=cfg.train_snr_db)
         yield scen, "proposed", "mean_pd", k, rep.mean_pd, _binom_se(rep.mean_pd, trials)
@@ -254,29 +255,33 @@ def _pd_vs_k(cfg: TrainConfig, spec: GeneratorSpec, rng: RngStream, trials: int)
         yield scen, "noise-injection", "mean_pd", k, float(np.mean(pds)), 0.0
 
 
-def _ber_vs_snr(cfg: TrainConfig, spec: GeneratorSpec, rng: RngStream, trials: int):
+def _ber_vs_snr(cfg: TrainConfig, spec: GeneratorSpec, rng: RngStream, trials: int,
+                train_fn):
     scen = scenarios.get_preset("urban")
     snrs = [0, 5, 10, 15, 20]
-    system, _ = train(cfg, scen, rng.child(1), gen_spec=spec)
+    system, _ = train_fn(cfg, scen, rng.child(1), gen_spec=spec)
     for snr_db, ber, se in measure_ber(system, snrs, trials, rng.child(2)):
         yield scen, "proposed", "ber", snr_db, ber, se
     tx = NoiseInjectionTransmitter(0.5, spec)
     for snr_db in snrs:
         ber = noise_injection_ber(tx, scen, snr_db, trials, rng.child(100 + snr_db))
-        yield scen, "noise-injection", "ber", snr_db, ber, _binom_se(ber, trials)
+        yield (scen, "noise-injection", "ber", snr_db, ber,
+               _binom_se(ber, trials * spec.message_bits))
 
 
-def _csr_vs_epochs(cfg: TrainConfig, spec: GeneratorSpec, rng: RngStream, trials: int):
+def _csr_vs_epochs(cfg: TrainConfig, spec: GeneratorSpec, rng: RngStream, trials: int,
+                   train_fn):
     scen = scenarios.get_preset("urban")
-    _, log = train(cfg, scen, rng.child(1), gen_spec=spec)
+    _, log = train_fn(cfg, scen, rng.child(1), gen_spec=spec)
     for snap in log.snapshots:
         yield (scen, "proposed", "csr", snap["iteration"], snap["csr"],
                _binom_se(snap["csr"], snap["trials"]))
 
 
-def _pd_distribution(cfg: TrainConfig, spec: GeneratorSpec, rng: RngStream, trials: int):
+def _pd_distribution(cfg: TrainConfig, spec: GeneratorSpec, rng: RngStream, trials: int,
+                     train_fn):
     scen = scenarios.get_preset("6g-dense")
-    system, _ = train(cfg, scen, rng.child(1), gen_spec=spec)
+    system, _ = train_fn(cfg, scen, rng.child(1), gen_spec=spec)
     per_warden, _, _ = measure_detection(system, trials, rng.child(2),
                                          target_pf=cfg.target_pf)
     for i, w in enumerate(per_warden):
@@ -286,26 +291,30 @@ def _pd_distribution(cfg: TrainConfig, spec: GeneratorSpec, rng: RngStream, tria
                                  target_pf=cfg.target_pf)
     for i, pd in enumerate(pds):
         yield scen, "noise-injection", "pd", i, pd, 0.0
+    for i, w in enumerate(per_warden):
+        yield scen, "proposed-lrt", "pd", i, w.pd_lrt, 0.0
 
 
-def _adaptive(cfg: TrainConfig, spec: GeneratorSpec, rng: RngStream, trials: int):
+def _adaptive(cfg: TrainConfig, spec: GeneratorSpec, rng: RngStream, trials: int,
+              train_fn):
     scen = scenarios.get_preset("urban")
-    system, _ = train(cfg, scen, rng.child(1), gen_spec=spec)
+    system, _ = train_fn(cfg, scen, rng.child(1), gen_spec=spec)
     for it, val in enumerate(adaptive_warden_loop(system, rng.child(2))):
         yield scen, "proposed", "covert_metric", it, float(val), 0.0
 
 
-def _ber_vs_layers(cfg: TrainConfig, spec: GeneratorSpec, rng: RngStream, trials: int):
+def _ber_vs_layers(cfg: TrainConfig, spec: GeneratorSpec, rng: RngStream, trials: int,
+                   train_fn):
     # depth of the generator's hidden stack (the decoder's stays fixed)
     scen = scenarios.get_preset("urban")
     for depth in (3, 5, 8, 10):
-        system, _ = train(cfg, scen, rng.child(depth),
-                          gen_spec=replace(spec, hidden=(64,) * depth))
+        system, _ = train_fn(cfg, scen, rng.child(depth),
+                             gen_spec=replace(spec, hidden=(64,) * depth))
         (_, ber, se), = measure_ber(system, [20.0], trials, rng.child(1000 + depth))
         yield scen, "proposed", "ber", depth, ber, se
 
 
-# each sweep yields (scenario, method, metric, x, value, stderr) rows
+# each sweep trains through train_fn and yields (scenario, method, metric, x, value, stderr) rows
 SWEEPS = {"pd-vs-k": _pd_vs_k, "ber-vs-snr": _ber_vs_snr, "csr-vs-epochs": _csr_vs_epochs,
           "pd-distribution": _pd_distribution, "adaptive": _adaptive,
           "ber-vs-layers": _ber_vs_layers}
@@ -314,12 +323,13 @@ SWEEP_NAMES = tuple(SWEEPS)
 
 def run_sweeps(which: str, cfg: TrainConfig, rng: RngStream,
                gen_spec: GeneratorSpec | None = None,
-               trials: int = 2000) -> list[SweepPoint]:
+               trials: int = 2000, train_fn=None) -> list[SweepPoint]:
     """Run one named experiment sweep into plot-ready rows, training with
-    gen_spec (default ``GeneratorSpec()``) and detecting at ``cfg.target_pf``."""
+    gen_spec (default ``GeneratorSpec()``) through train_fn (default this
+    module's ``train``, looked up per call) and detecting at ``cfg.target_pf``."""
     if which not in SWEEPS:
         raise DomainError(f"unknown sweep {which!r}; valid: {SWEEP_NAMES}")
-    rows = SWEEPS[which](cfg, gen_spec or GeneratorSpec(), rng, trials)
+    rows = SWEEPS[which](cfg, gen_spec or GeneratorSpec(), rng, trials, train_fn or train)
     return [SweepPoint(method, scen.name, scen.k, metric, x, value, stderr, rng.seed)
             for scen, method, metric, x, value, stderr in rows]
 

@@ -350,7 +350,8 @@ def save_checkpoint(path, nets: dict[str, DenseNet], seed: int, extra: dict | No
 
 def load_checkpoint(path):
     """Load a checkpoint; returns (nets, header)."""
-    with np.load(path) as data:
+    # np.load leaves its own file open when the archive is unreadable
+    with open(path, "rb") as fh, np.load(fh) as data:
         header = json.loads(bytes(data["__header__"]).decode())
         if header.get("version") != CHECKPOINT_VERSION:
             raise StateError(f"unsupported checkpoint version {header.get('version')}")

@@ -2,7 +2,10 @@
 and checkpoint compatibility checks."""
 
 import configparser
+import copy
 import csv
+import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -13,7 +16,7 @@ import numpy as np
 import pytest
 
 import covertsim
-from covertsim import cli, evaluation, neuralnet
+from covertsim import adversarial, cli, evaluation, neuralnet
 from covertsim.adversarial import GeneratorSpec, TrainConfig, train
 from covertsim.cli import (
     CSV_HEADER,
@@ -28,6 +31,7 @@ from covertsim.cli import (
 )
 from covertsim.evaluation import evaluate_system
 from covertsim.numerics import RngStream
+from covertsim.scenarios import get_preset
 
 
 def _tiny_config(tmp_path, **overrides):
@@ -290,7 +294,7 @@ def test_pooled_sweep_writes_the_in_process_rows(tmp_path):
     assert main(["sweep", "csr-vs-epochs", "--config", str(path), "--seeds", "4,5,6",
                  "--out", str(out)]) == EXIT_OK
     expected = [[str(v) for v in row] for seed in (4, 5, 6)
-                for row in cli._sweep_rows("csr-vs-epochs", cfg, seed)]
+                for row in cli._sweep_rows("csr-vs-epochs", cfg, tmp_path / "direct", seed)]
     rows = _read_rows(out / f"sweep_csr-vs-epochs_{cfg.digest()}.csv")
     assert rows[0] == CSV_HEADER
     assert rows[1:1 + len(expected)] == expected
@@ -322,12 +326,17 @@ def test_sweep_workers_run_one_blas_thread():
     assert cli._map_seeds(_blas_threads, [0, 1]) == [1, 1]
 
 
+def _entries(out):
+    """Each stored training under out, with what changes when it is rewritten."""
+    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in (out / "trained").iterdir()}
+
+
 def test_pooled_sweep_replays_across_processes_and_blas_threads(tmp_path):
     _, path = _tiny_config(tmp_path)
     src = str(Path(covertsim.__file__).resolve().parents[1])
-    csvs = []
+    out = tmp_path / "runs"
+    csvs, entries = [], []
     for threads in ("1", "2"):
-        out = tmp_path / f"blas{threads}"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         subprocess.run([sys.executable, "-m", "covertsim.cli", "sweep", "csr-vs-epochs",
@@ -335,7 +344,123 @@ def test_pooled_sweep_replays_across_processes_and_blas_threads(tmp_path):
                        env=env, check=True, capture_output=True, timeout=120)
         csv_path, = out.glob("sweep_*.csv")
         csvs.append(csv_path.read_bytes())
+        entries.append(_entries(out))
     assert csvs[0] == csvs[1]
+    # the 2-thread run read both of the 1-thread run's trainings and wrote none
+    assert len(entries[0]) == 2 and entries[1] == entries[0]
+
+
+def _count_trainings(monkeypatch) -> list:
+    """Patch cli.train to record the stream of every training it runs."""
+    calls = []
+
+    def counting(cfg, scen, rng, **kwargs):
+        calls.append(rng)
+        return train(cfg, scen, rng, **kwargs)
+
+    monkeypatch.setattr(cli, "train", counting)
+    return calls
+
+
+def test_sweeps_into_one_out_train_once_and_write_the_fresh_csvs(tmp_path, monkeypatch):
+    _, path = _tiny_config(tmp_path)
+    # a shorter adaptive loop; its rows still come from the stored system
+    monkeypatch.setattr(evaluation, "adaptive_warden_loop", functools.partial(
+        adversarial.adaptive_warden_loop, period=100, window=50, total=300, retrain_steps=10))
+    calls = _count_trainings(monkeypatch)
+    sweeps = ("csr-vs-epochs", "ber-vs-snr", "adaptive")
+    shared = tmp_path / "shared"
+    for sweep in sweeps:
+        assert main(["sweep", sweep, "--config", str(path), "--out", str(shared)]) == EXIT_OK
+    assert len(calls) == 1 and len(_entries(shared)) == 1
+    for sweep in sweeps:
+        fresh = tmp_path / f"fresh-{sweep}"
+        assert main(["sweep", sweep, "--config", str(path), "--out", str(fresh)]) == EXIT_OK
+        csv_path, = fresh.glob("sweep_*.csv")
+        assert (shared / csv_path.name).read_bytes() == csv_path.read_bytes()
+    assert len(calls) == 4
+
+
+def _changed(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, tuple):
+        return value + value[-1:]
+    return value + ("-b" if isinstance(value, str) else 1)
+
+
+KEY_INPUTS = (TrainConfig(), get_preset("urban"), GeneratorSpec())
+
+
+@pytest.mark.parametrize("which, name", [(i, f.name) for i, obj in enumerate(KEY_INPUTS)
+                                         for f in dataclasses.fields(obj)])
+def test_training_key_covers_every_config_field(which, name):
+    inputs = list(KEY_INPUTS)
+    base = cli._training_key(*inputs[:2], RngStream(3), inputs[2])
+    inputs[which] = copy.copy(inputs[which])
+    # the key reads the fields only, so an unvalidated value will do
+    object.__setattr__(inputs[which], name, _changed(getattr(inputs[which], name)))
+    assert cli._training_key(*inputs[:2], RngStream(3), inputs[2]) != base
+
+
+def test_changed_seed_stream_or_source_misses_the_store(tmp_path, monkeypatch):
+    cfg = TrainConfig(iterations=2, batch=4, disc_warmup=1, snapshot_every=1,
+                      snapshot_trials=16)
+    spec = GeneratorSpec(message_bits=4, noise_dim=4, n=8, hidden=(8,), dropout=0.0)
+    calls = _count_trainings(monkeypatch)
+
+    def run(rng):
+        return cli._cached_train(tmp_path, cfg, get_preset("urban"), rng, gen_spec=spec)
+
+    system, log = run(RngStream(3))
+    stored, stored_log = run(RngStream(3))
+    assert len(calls) == 1 and stored_log == log
+    for name, net in cli._nets(system).items():
+        np.testing.assert_array_equal(cli._nets(stored)[name].params, net.params)
+    run(RngStream(4))
+    run(RngStream(3, 1))
+    monkeypatch.setattr(cli, "_source_digest", lambda: "edited")
+    run(RngStream(3))
+    assert len(calls) == 4 and len(list(tmp_path.iterdir())) == 4
+
+
+def test_a_truncated_entry_is_trained_again(tmp_path, monkeypatch):
+    _, path = _tiny_config(tmp_path)
+    out = tmp_path / "runs"
+    args = ["sweep", "csr-vs-epochs", "--config", str(path), "--out", str(out)]
+    assert main(args) == EXIT_OK
+    csv_path, = out.glob("sweep_*.csv")
+    written = csv_path.read_bytes()
+    entry, = (out / "trained").iterdir()
+    entry.write_bytes(entry.read_bytes()[:entry.stat().st_size // 2])
+    calls = _count_trainings(monkeypatch)
+    assert main(args) == EXIT_OK
+    assert len(calls) == 1 and csv_path.read_bytes() == written
+    # the retrained entry replaced the truncated one
+    assert main(args) == EXIT_OK
+    assert len(calls) == 1 and list((out / "trained").iterdir()) == [entry]
+
+
+@pytest.mark.parametrize("curves, trend", [
+    # the last seed's final CSR beats the first seed's initial one, yet the seed means fall
+    ({1: (0.5, 0.1), 2: (0.3, 0.6)}, "flat"),
+    # and the other way round
+    ({1: (0.2, 0.7), 2: (0.6, 0.15)}, "increasing"),
+])
+def test_csr_trend_compares_the_seed_means(tmp_path, monkeypatch, curves, trend):
+    _, path = _tiny_config(tmp_path)
+
+    def snapshots(which, cfg, rng, **kwargs):
+        return [evaluation.SweepPoint("proposed", "urban", 3, "csr", x, csr, 0.0, rng.seed)
+                for x, csr in zip((0, 10), curves[rng.seed])]
+
+    # forked workers inherit the patched module
+    monkeypatch.setattr(evaluation, "run_sweeps", snapshots)
+    out = tmp_path / "runs"
+    assert main(["sweep", "csr-vs-epochs", "--config", str(path), "--seeds", "1,2",
+                 "--out", str(out)]) == EXIT_OK
+    csv_path, = out.glob("sweep_*.csv")
+    assert [r[4] for r in _read_rows(csv_path) if r[3] == "csr_trend"] == [trend]
 
 
 def test_exit_codes_for_bad_inputs(tmp_path):

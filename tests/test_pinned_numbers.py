@@ -228,11 +228,11 @@ SWEEP_ROWS = {
         ("proposed", "urban", 3, "ber", 10, 0.508125, 0.012498349500409045),
         ("proposed", "urban", 3, "ber", 15, 0.505625, 0.012499208959345188),
         ("proposed", "urban", 3, "ber", 20, 0.491875, 0.012498349500409043),
-        ("noise-injection", "urban", 3, "ber", 0, 0.245625, 0.030437917091598106),
-        ("noise-injection", "urban", 3, "ber", 5, 0.16, 0.02592296279363144),
-        ("noise-injection", "urban", 3, "ber", 10, 0.085625, 0.019785519878815418),
-        ("noise-injection", "urban", 3, "ber", 15, 0.04375, 0.014463045581757667),
-        ("noise-injection", "urban", 3, "ber", 20, 0.02375, 0.010767064943613928),
+        ("noise-injection", "urban", 3, "ber", 0, 0.245625, 0.010761428790331469),
+        ("noise-injection", "urban", 3, "ber", 5, 0.16, 0.00916515138991168),
+        ("noise-injection", "urban", 3, "ber", 10, 0.085625, 0.0069952376378058095),
+        ("noise-injection", "urban", 3, "ber", 15, 0.04375, 0.005113458803735491),
+        ("noise-injection", "urban", 3, "ber", 20, 0.02375, 0.00380673231755268),
     ],
     "csr-vs-epochs": [
         ("proposed", "urban", 3, "csr", 0, 0.6796875, 0.041241703933161476),
@@ -250,6 +250,11 @@ SWEEP_ROWS = {
         ("noise-injection", "6g-dense", 5, "pd", 2, 0.9996998994116533, 0.0),
         ("noise-injection", "6g-dense", 5, "pd", 3, 0.9990954647700027, 0.0),
         ("noise-injection", "6g-dense", 5, "pd", 4, 0.9996522807217749, 0.0),
+        ("proposed-lrt", "6g-dense", 5, "pd", 0, 0.9735784584321945, 0.0),
+        ("proposed-lrt", "6g-dense", 5, "pd", 1, 0.9836731208840989, 0.0),
+        ("proposed-lrt", "6g-dense", 5, "pd", 2, 0.977005170044772, 0.0),
+        ("proposed-lrt", "6g-dense", 5, "pd", 3, 0.9863637419233737, 0.0),
+        ("proposed-lrt", "6g-dense", 5, "pd", 4, 0.9845934688103004, 0.0),
     ],
     "ber-vs-layers": [
         ("proposed", "urban", 3, "ber", 3, 0.52, 0.012489995996796796),
