@@ -222,8 +222,8 @@ def generate_signal(system: System, m: np.ndarray, z: np.ndarray,
                     train: bool = False, rng: np.random.Generator | None = None):
     """Map (message, latent) batches to power-feasible complex slot signals.
 
-    Returns (s, aux); aux carries what the backward pass needs. Eval mode
-    keeps none (aux is None) and projects the power row block by row block.
+    Returns (s, aux); aux carries what the backward pass needs and is
+    None in eval mode.
     """
     m = np.atleast_2d(m)
     z = np.atleast_2d(z)
@@ -232,13 +232,9 @@ def generate_signal(system: System, m: np.ndarray, z: np.ndarray,
     out, cache = system.generator.forward(np.concatenate([m, z], axis=1),
                                           train=train, rng=rng)
     s_raw = from_reim(out)
-    if train:
-        s, scale = project_power(s_raw, system.gen_spec.power)
-        return s, (cache, s_raw, scale)
-    s = np.empty_like(s_raw)
-    for sl in row_blocks(len(s_raw)):
-        s[sl] = project_power(s_raw[sl], system.gen_spec.power)[0]
-    return s, None
+    s, scale = project_power(s_raw, system.gen_spec.power)
+    aux = (cache, s_raw, scale) if train else None
+    return s, aux
 
 
 def signal_gradient_to_generator(system: System, grad_s: np.ndarray, aux):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import csv
 import dataclasses
 import functools
@@ -20,6 +19,7 @@ import hashlib
 import json
 import os
 import sys
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +35,7 @@ from .adversarial import (
     build_system,
     train,
 )
-from .neuralnet import DenseNet, load_checkpoint, save_checkpoint
+from .neuralnet import DenseNet, StateError, load_checkpoint, save_checkpoint
 from .numerics import DomainError, RngStream
 
 EXIT_OK = 0
@@ -247,8 +247,11 @@ def _report_rows(report, method: str):
 
 def _saved_config(header: dict) -> RunConfig:
     """The run config a checkpoint was trained with (lists back to tuples)."""
+    extra = header["extra"]
+    if not set(extra) <= {f.name for f in dataclasses.fields(RunConfig)}:
+        raise ValidationError(f"checkpoint holds no run config, only {sorted(extra)}")
     return RunConfig(**{key: tuple(val) if isinstance(val, list) else val
-                        for key, val in header["extra"].items()})
+                        for key, val in extra.items()})
 
 
 def _run_config(args, checkpoint=None) -> RunConfig:
@@ -410,23 +413,24 @@ def _training_key(cfg: TrainConfig, scen, rng: RngStream, spec: GeneratorSpec) -
 
 def _cached_train(store: Path, cfg: TrainConfig, scen: scenarios.ScenarioPreset,
                   rng: RngStream, gen_spec: GeneratorSpec) -> tuple[System, TrainLog]:
-    """``train``, kept as ``store/<sha256 of its key>.npz`` and loaded from there
-    when asked for again; an entry that cannot be read is trained again."""
+    """``train``, kept as ``store/<sha256 of its key>.npz`` and loaded from there."""
     key = _training_key(cfg, scen, rng, gen_spec)
     path = store / f"{hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()}.npz"
-    with contextlib.suppress(Exception):  # a missing or unreadable entry is trained
+    try:
         nets, header = load_checkpoint(path)
-        system = build_system(gen_spec, scen, RngStream(0), loss_mode=cfg.loss_mode,
-                              train_snr_db=cfg.train_snr_db)
-        return _load_nets(system, nets), TrainLog(**header["extra"]["log"])
-    system, log = train(cfg, scen, rng, gen_spec=gen_spec)
-    store.mkdir(parents=True, exist_ok=True)
-    # np.savez appends .npz to any other name; os.replace never shows a partial entry
-    tmp = path.with_suffix(f".{os.getpid()}.npz")
-    save_checkpoint(tmp, _nets(system), rng.seed,
-                    extra={"key": key, "log": dataclasses.asdict(log)})
-    os.replace(tmp, path)
-    return system, log
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, StateError):
+        # a missing or unreadable entry is trained again; np.savez appends .npz to
+        # any other name, and os.replace never shows a partial entry
+        system, log = train(cfg, scen, rng, gen_spec=gen_spec)
+        store.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_suffix(f".{os.getpid()}.npz")
+        save_checkpoint(tmp, _nets(system), rng.seed,
+                        extra={"key": key, "log": dataclasses.asdict(log)})
+        os.replace(tmp, path)
+        return system, log
+    system = build_system(gen_spec, scen, RngStream(0), loss_mode=cfg.loss_mode,
+                          train_snr_db=cfg.train_snr_db)
+    return _load_nets(system, nets), TrainLog(**header["extra"]["log"])
 
 
 def _sweep_rows(sweep: str, cfg: RunConfig, store: Path, seed: int) -> list[list]:

@@ -334,20 +334,23 @@ def _entries(out):
 def test_pooled_sweep_replays_across_processes_and_blas_threads(tmp_path):
     _, path = _tiny_config(tmp_path)
     src = str(Path(covertsim.__file__).resolve().parents[1])
-    out = tmp_path / "runs"
-    csvs, entries = [], []
-    for threads in ("1", "2"):
+
+    def sweep(threads, out):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         subprocess.run([sys.executable, "-m", "covertsim.cli", "sweep", "csr-vs-epochs",
                         "--config", str(path), "--seeds", "7,8", "--out", str(out)],
                        env=env, check=True, capture_output=True, timeout=120)
         csv_path, = out.glob("sweep_*.csv")
-        csvs.append(csv_path.read_bytes())
-        entries.append(_entries(out))
-    assert csvs[0] == csvs[1]
-    # the 2-thread run read both of the 1-thread run's trainings and wrote none
-    assert len(entries[0]) == 2 and entries[1] == entries[0]
+        return csv_path.read_bytes()
+
+    # each thread count trains into its own fresh directory
+    written = sweep("1", tmp_path / "blas1")
+    assert sweep("2", tmp_path / "blas2") == written
+    # a 2-thread re-run into the 1-thread directory reads its two trainings and writes none
+    entries = _entries(tmp_path / "blas1")
+    assert sweep("2", tmp_path / "blas1") == written
+    assert len(entries) == 2 and _entries(tmp_path / "blas1") == entries
 
 
 def _count_trainings(monkeypatch) -> list:
@@ -439,6 +442,35 @@ def test_a_truncated_entry_is_trained_again(tmp_path, monkeypatch):
     # the retrained entry replaced the truncated one
     assert main(args) == EXIT_OK
     assert len(calls) == 1 and list((out / "trained").iterdir()) == [entry]
+
+
+def test_a_readable_entry_with_a_bad_log_fails_loudly(tmp_path, monkeypatch):
+    cfg = TrainConfig(iterations=2, batch=4, disc_warmup=1, snapshot_every=1,
+                      snapshot_trials=16)
+    spec = GeneratorSpec(message_bits=4, noise_dim=4, n=8, hidden=(8,), dropout=0.0)
+    calls = _count_trainings(monkeypatch)
+
+    def run():
+        return cli._cached_train(tmp_path, cfg, get_preset("urban"), RngStream(3), gen_spec=spec)
+
+    run()
+    entry, = tmp_path.iterdir()
+    nets, header = neuralnet.load_checkpoint(entry)
+    extra = dict(header["extra"], log={**header["extra"]["log"], "renamed": []})
+    neuralnet.save_checkpoint(entry, nets, header["seed"], extra=extra)
+    with pytest.raises(TypeError, match="renamed"):
+        run()
+    assert len(calls) == 1 and list(tmp_path.iterdir()) == [entry]
+
+
+def test_eval_refuses_a_stored_training(tmp_path, capsys):
+    _, path = _tiny_config(tmp_path)
+    out = tmp_path / "runs"
+    assert main(["sweep", "csr-vs-epochs", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    entry, = (out / "trained").iterdir()
+    for config in ([], ["--config", str(path)]):
+        assert main(["eval", str(entry), *config, "--out", str(out)]) == EXIT_VALIDATION
+        assert "no run config, only ['key', 'log']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("curves, trend", [
