@@ -508,28 +508,29 @@ def train(cfg: TrainConfig, scenario: ScenarioPreset, rng: RngStream,
     spec = system.gen_spec
     slot = 0
 
-    def sample_round(batch):
+    def disc_round(where: str):
+        """Draw one round and take the discriminators' ascent step on it."""
         nonlocal slot
-        m, z = sample_latents(spec, gen, batch)
-        slots = np.arange(slot, slot + batch, dtype=float)
-        slot += batch
-        w_taps = sample_warden_taps(scenario, batch, gen, slots, spec.n)
-        w_noise = np.stack([sample_awgn(spec.n, v, gen, count=batch)
+        m, z = sample_latents(spec, gen, cfg.batch)
+        slots = np.arange(slot, slot + cfg.batch, dtype=float)
+        slot += cfg.batch
+        w_taps = sample_warden_taps(scenario, cfg.batch, gen, slots, spec.n)
+        w_noise = np.stack([sample_awgn(spec.n, v, gen, count=cfg.batch)
                             for v in scenario.warden_sigma2])
-        w_noise0 = np.stack([sample_awgn(spec.n, v, gen, count=batch)
+        w_noise0 = np.stack([sample_awgn(spec.n, v, gen, count=cfg.batch)
                              for v in scenario.warden_sigma2])
-        b_taps = sample_bob_taps(scenario, batch, gen, slots, spec.n)
-        b_noise = sample_awgn(spec.n, system.bob_sigma2, gen, count=batch)
-        return m, z, w_taps, w_noise, w_noise0, b_taps, b_noise
+        b_taps = sample_bob_taps(scenario, cfg.batch, gen, slots, spec.n)
+        b_noise = sample_awgn(spec.n, system.bob_sigma2, gen, count=cfg.batch)
+        s, _ = generate_signal(system, m, z)
+        _require_finite(s, ["generator"], "signal", where)
+        y1 = propagate(s, w_taps) + w_noise
+        d_losses = _disc_update(system.wardens, adam_d, w_noise0, y1, cfg.loss_mode,
+                                cfg.clip, gen, where)
+        return m, z, w_taps, w_noise, b_taps, b_noise, d_losses.tolist()
 
     # discriminator warm-up so the first CSR snapshot reflects trained wardens
     for step in range(1, cfg.disc_warmup + 1):
-        m, z, w_taps, w_noise, w_noise0, _, _ = sample_round(cfg.batch)
-        s, _ = generate_signal(system, m, z)
-        _require_finite(s, ["generator"], "signal", f"warm-up step {step}")
-        y1 = propagate(s, w_taps) + w_noise
-        _disc_update(system.wardens, adam_d, w_noise0, y1, cfg.loss_mode, cfg.clip, gen,
-                     f"warm-up step {step}")
+        disc_round(f"warm-up step {step}")
 
     snap_rng = rng.child(200)
     if cfg.snapshot_every:
@@ -539,14 +540,7 @@ def train(cfg: TrainConfig, scenario: ScenarioPreset, rng: RngStream,
         log.snapshots.append(snap)
 
     for it in range(1, cfg.iterations + 1):
-        m, z, w_taps, w_noise, w_noise0, b_taps, b_noise = sample_round(cfg.batch)
-
-        s, _ = generate_signal(system, m, z)
-        _require_finite(s, ["generator"], "signal", f"iteration {it}")
-        y1 = propagate(s, w_taps) + w_noise
-        d_losses = _disc_update(system.wardens, adam_d, w_noise0, y1, cfg.loss_mode,
-                                cfg.clip, gen, f"iteration {it}").tolist()
-
+        m, z, w_taps, w_noise, b_taps, b_noise, d_losses = disc_round(f"iteration {it}")
         loss, covert, mse, g_grads, dec_grads, d1_means = generator_loss(
             system, m, z, w_taps, w_noise, b_taps, b_noise, mu=cfg.mu, rng=gen)
         _require_finite(mse, ["decoder"], "decode MSE", f"iteration {it}")

@@ -248,7 +248,7 @@ def _report_rows(report, method: str):
 def _saved_config(header: dict) -> RunConfig:
     """The run config a checkpoint was trained with (lists back to tuples)."""
     extra = header["extra"]
-    if not set(extra) <= {f.name for f in dataclasses.fields(RunConfig)}:
+    if not extra or not set(extra) <= {f.name for f in dataclasses.fields(RunConfig)}:
         raise ValidationError(f"checkpoint holds no run config, only {sorted(extra)}")
     return RunConfig(**{key: tuple(val) if isinstance(val, list) else val
                         for key, val in extra.items()})
@@ -274,36 +274,39 @@ def _nets(system: System) -> dict[str, DenseNet]:
             **{f"disc_{i}": disc for i, disc in enumerate(system.discriminators)}}
 
 
-def _load_nets(system: System, nets: dict[str, DenseNet]) -> System:
-    """Put a checkpoint's nets into a system built for them."""
-    system.generator, system.decoder = nets["generator"], nets["decoder"]
-    system.wardens = DenseNet.stack([nets[f"disc_{i}"] for i in range(system.scenario.k)])
-    return system
+def _save(path: Path, system: System, extra: dict) -> None:
+    """Write a system's checkpoint to path. np.savez appends .npz to any other
+    name, and os.replace never shows a partial file under path."""
+    tmp = path.with_suffix(f".{os.getpid()}.npz")
+    try:
+        save_checkpoint(tmp, _nets(system), extra=extra)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-def _system_from_checkpoint(checkpoint, cfg: RunConfig) -> System:
-    """Rebuild a trained system from a loaded ``(nets, header)`` checkpoint;
-    cfg sets the scenario and generator shape, while the saved config sets
-    the loss mode and Bob's training SNR the nets were trained for."""
-    nets, header = checkpoint
-    saved = _saved_config(header)
-    scen = cfg.scenario_preset()
-    spec = cfg.generator_spec()
-    k = sum(1 for name in nets if name.startswith("disc_"))
-    if k != scen.k:
-        raise ValidationError(
-            f"checkpoint has {k} discriminators but scenario {scen.name!r} has {scen.k} wardens")
-    system = build_system(spec, scen, RngStream(0), loss_mode=saved.loss_mode,
-                          train_snr_db=saved.train_snr_db)
+def _load_system(nets: dict[str, DenseNet], spec: GeneratorSpec,
+                 scen: scenarios.ScenarioPreset, cfg: TrainConfig) -> System:
+    """The system spec, scen and cfg describe, holding a checkpoint's nets;
+    a ValidationError unless the nets are that system's."""
+    system = build_system(spec, scen, RngStream(0), loss_mode=cfg.loss_mode,
+                          train_snr_db=cfg.train_snr_db)
 
-    def layers(net):
+    def layers(named):
         # dropout acts only in training, so an eval config may change it
-        return [(s.in_dim, s.out_dim, s.activation) for s in net.specs]
+        return {name: [(s.in_dim, s.out_dim, s.activation) for s in net.specs]
+                for name, net in named.items()}
 
-    for name, net in _nets(system).items():
-        if layers(nets[name]) != layers(net):
+    have, want = layers(nets), layers(_nets(system))
+    if have.keys() != want.keys():
+        raise ValidationError(
+            f"checkpoint has nets {sorted(have)} but the config builds {sorted(want)}")
+    for name in want:
+        if have[name] != want[name]:
             raise ValidationError(f"checkpoint {name} layers do not match the config")
-    return _load_nets(system, nets)
+    system.generator, system.decoder = nets["generator"], nets["decoder"]
+    system.wardens = DenseNet.stack([nets[f"disc_{i}"] for i in range(scen.k)])
+    return system
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +322,7 @@ def cmd_train(args) -> int:
     system, log = train(cfg.train_config(), cfg.scenario_preset(), rng,
                         gen_spec=cfg.generator_spec())
     tag = f"{cfg.digest()}_s{cfg.seed}"
-    save_checkpoint(out_dir / f"ckpt_{tag}.npz", _nets(system), cfg.seed,
-                    extra=dataclasses.asdict(cfg))
+    _save(out_dir / f"ckpt_{tag}.npz", system, dataclasses.asdict(cfg))
     _write_trainlog(out_dir / f"trainlog_{tag}.jsonl", log)
     _write_manifest(out_dir, cfg, "train", [cfg.seed])
     print(f"trained {cfg.scenario} seed={cfg.seed} -> ckpt_{tag}.npz")
@@ -331,7 +333,8 @@ def cmd_eval(args) -> int:
     # a --config is validated before the checkpoint is read
     checkpoint = None if args.config else load_checkpoint(args.checkpoint)
     cfg = _run_config(args, checkpoint)
-    system = _system_from_checkpoint(checkpoint or load_checkpoint(args.checkpoint), cfg)
+    nets, _ = checkpoint or load_checkpoint(args.checkpoint)
+    system = _load_system(nets, cfg.generator_spec(), cfg.scenario_preset(), cfg.train_config())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = evaluation.evaluate_system(system, cfg.trials, RngStream(cfg.seed, 7),
@@ -419,18 +422,12 @@ def _cached_train(store: Path, cfg: TrainConfig, scen: scenarios.ScenarioPreset,
     try:
         nets, header = load_checkpoint(path)
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, StateError):
-        # a missing or unreadable entry is trained again; np.savez appends .npz to
-        # any other name, and os.replace never shows a partial entry
+        # a missing or unreadable entry is trained again
         system, log = train(cfg, scen, rng, gen_spec=gen_spec)
         store.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".{os.getpid()}.npz")
-        save_checkpoint(tmp, _nets(system), rng.seed,
-                        extra={"key": key, "log": dataclasses.asdict(log)})
-        os.replace(tmp, path)
+        _save(path, system, {"key": key, "log": dataclasses.asdict(log)})
         return system, log
-    system = build_system(gen_spec, scen, RngStream(0), loss_mode=cfg.loss_mode,
-                          train_snr_db=cfg.train_snr_db)
-    return _load_nets(system, nets), TrainLog(**header["extra"]["log"])
+    return _load_system(nets, gen_spec, scen, cfg), TrainLog(**header["extra"]["log"])
 
 
 def _sweep_rows(sweep: str, cfg: RunConfig, store: Path, seed: int) -> list[list]:
@@ -449,6 +446,14 @@ def _seed_list(text: str) -> list[int]:
         return [int(s) for s in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
+
+
+def _alpha(text: str) -> float:
+    """Parse ``--alpha``: a number in (0, 1]; argparse reports a ValueError too."""
+    alpha = float(text)
+    if not 0.0 < alpha <= 1.0:
+        raise argparse.ArgumentTypeError(f"not a number in (0, 1]: {text!r}")
+    return alpha
 
 
 def cmd_sweep(args) -> int:
@@ -567,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="run a named baseline through the eval path")
     p.add_argument("name", choices=("noise-injection", "single-disc"))
     p.add_argument("--config", required=True)
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=_alpha, default=0.5)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", default="runs")
     p.set_defaults(func=cmd_baseline)

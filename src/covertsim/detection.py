@@ -34,14 +34,6 @@ class DetectionReport:
     pf: float
     trials: int
 
-    @property
-    def pd_stderr(self) -> float:
-        return float(np.sqrt(self.pd * (1 - self.pd) / max(self.trials, 1)))
-
-    @property
-    def pf_stderr(self) -> float:
-        return float(np.sqrt(self.pf * (1 - self.pf) / max(self.trials, 1)))
-
 
 def lrt_statistic(y: np.ndarray, x: np.ndarray) -> float:
     """Matched-filter test statistic T = 2 Re(y^H x)."""

@@ -20,7 +20,6 @@ from .adversarial import (
     TrainConfig,
     WardenMetrics,
     adaptive_warden_loop,
-    csr_from_detections,  # noqa: F401 - part of this module's API
     decode_ber,
     generate_signal,
     project_power,

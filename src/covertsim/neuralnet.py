@@ -332,11 +332,10 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
 CHECKPOINT_VERSION = 2
 
 
-def save_checkpoint(path, nets: dict[str, DenseNet], seed: int, extra: dict | None = None):
+def save_checkpoint(path, nets: dict[str, DenseNet], extra: dict | None = None):
     """Persist named nets as flat float64 arrays with a spec header."""
     header = {
         "version": CHECKPOINT_VERSION,
-        "seed": int(seed),
         "extra": extra or {},
         "nets": {
             name: [[s.in_dim, s.out_dim, s.activation, s.dropout] for s in net.specs]

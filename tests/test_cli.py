@@ -26,7 +26,6 @@ from covertsim.cli import (
     EXIT_VALIDATION,
     RunConfig,
     ValidationError,
-    _system_from_checkpoint,
     main,
 )
 from covertsim.evaluation import evaluate_system
@@ -457,20 +456,37 @@ def test_a_readable_entry_with_a_bad_log_fails_loudly(tmp_path, monkeypatch):
     entry, = tmp_path.iterdir()
     nets, header = neuralnet.load_checkpoint(entry)
     extra = dict(header["extra"], log={**header["extra"]["log"], "renamed": []})
-    neuralnet.save_checkpoint(entry, nets, header["seed"], extra=extra)
+    neuralnet.save_checkpoint(entry, nets, extra=extra)
     with pytest.raises(TypeError, match="renamed"):
         run()
     assert len(calls) == 1 and list(tmp_path.iterdir()) == [entry]
 
 
-def test_eval_refuses_a_stored_training(tmp_path, capsys):
+def _stored_training(tmp_path):
     _, path = _tiny_config(tmp_path)
     out = tmp_path / "runs"
     assert main(["sweep", "csr-vs-epochs", "--config", str(path), "--out", str(out)]) == EXIT_OK
     entry, = (out / "trained").iterdir()
-    for config in ([], ["--config", str(path)]):
-        assert main(["eval", str(entry), *config, "--out", str(out)]) == EXIT_VALIDATION
-        assert "no run config, only ['key', 'log']" in capsys.readouterr().err
+    return entry, path, out
+
+
+def test_eval_refuses_a_stored_training(tmp_path, capsys):
+    entry, path, out = _stored_training(tmp_path)
+    assert main(["eval", str(entry), "--out", str(out)]) == EXIT_VALIDATION
+    assert "no run config, only ['key', 'log']" in capsys.readouterr().err
+    # the sweep trained urban's three wardens, not the config's two
+    assert main(["eval", str(entry), "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
+    assert ("checkpoint has nets ['decoder', 'disc_0', 'disc_1', 'disc_2', 'generator'] "
+            "but the config builds ['decoder', 'disc_0', 'disc_1', 'generator']"
+            ) in capsys.readouterr().err
+
+
+def test_eval_of_a_stored_training_under_a_config_that_describes_it(tmp_path):
+    entry, _, out = _stored_training(tmp_path)
+    urban_dir = tmp_path / "urban"
+    urban_dir.mkdir()
+    _, urban = _tiny_config(urban_dir, scenario="urban", k=0, sigma2=())
+    assert main(["eval", str(entry), "--config", str(urban), "--out", str(out)]) == EXIT_OK
 
 
 @pytest.mark.parametrize("curves, trend", [
@@ -543,6 +559,16 @@ def test_usage_error_on_malformed_seeds(tmp_path, seeds):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("alpha", ["0", "1.5", "nan", "x"])
+def test_usage_error_on_alpha_outside_the_unit_interval(tmp_path, alpha):
+    _, path = _tiny_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["baseline", "noise-injection", "--config", str(path), "--alpha", alpha,
+              "--out", str(tmp_path / "runs")])
+    assert exc.value.code == EXIT_USAGE
+    assert not (tmp_path / "runs").exists()
+
+
 def test_train_seed_override_and_determinism(tmp_path):
     cfg, path = _tiny_config(tmp_path)
     out_a = tmp_path / "a"
@@ -572,13 +598,47 @@ def test_checkpoint_round_trip_reproduces_the_system(tmp_path):
     system, _ = train(cfg.train_config(), cfg.scenario_preset(), RngStream(cfg.seed),
                       gen_spec=cfg.generator_spec())
     expected = evaluate_system(system, 200, RngStream(5))
-    checkpoint = neuralnet.load_checkpoint(ckpt)
-    for eval_cfg in (cli._saved_config(checkpoint[1]), cfg):
-        reloaded = _system_from_checkpoint(checkpoint, eval_cfg)
-        assert reloaded.loss_mode == "wasserstein"
-        assert reloaded.bob_sigma2 == system.bob_sigma2
-        np.testing.assert_array_equal(reloaded.lambdas, system.lambdas)
-        assert evaluate_system(reloaded, 200, RngStream(5)) == expected
+    nets, header = neuralnet.load_checkpoint(ckpt)
+    assert cli._saved_config(header) == cfg
+    reloaded = cli._load_system(nets, cfg.generator_spec(), cfg.scenario_preset(),
+                                cfg.train_config())
+    assert reloaded.loss_mode == "wasserstein"
+    assert reloaded.bob_sigma2 == system.bob_sigma2
+    np.testing.assert_array_equal(reloaded.lambdas, system.lambdas)
+    assert evaluate_system(reloaded, 200, RngStream(5)) == expected
+
+
+def test_eval_refuses_a_config_of_the_other_loss_mode(tmp_path, capsys):
+    cfg, path = _tiny_config(tmp_path)
+    out = tmp_path / "runs"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    ckpt = out / f"ckpt_{cfg.digest()}_s0.npz"
+    _, other = _tiny_config(tmp_path, loss_mode="wasserstein")
+    assert main(["eval", str(ckpt), "--config", str(other), "--out", str(out)]) == EXIT_VALIDATION
+    assert "disc_0 layers do not match" in capsys.readouterr().err
+
+
+def test_eval_refuses_a_checkpoint_without_a_run_config(tmp_path, capsys):
+    cfg = RunConfig(scenario="urban")
+    system = adversarial.build_system(cfg.generator_spec(), cfg.scenario_preset(), RngStream(1))
+    ckpt = tmp_path / "lib.npz"
+    neuralnet.save_checkpoint(ckpt, cli._nets(system))
+    assert main(["eval", str(ckpt), "--trials", "200",
+                 "--out", str(tmp_path / "runs")]) == EXIT_VALIDATION
+    assert "no run config, only []" in capsys.readouterr().err
+
+
+def test_a_failed_save_leaves_no_checkpoint(tmp_path, monkeypatch):
+    _, path = _tiny_config(tmp_path)
+
+    def failing_save(path, *args, **kwargs):
+        Path(path).write_bytes(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "save_checkpoint", failing_save)
+    out = tmp_path / "runs"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_RUNTIME
+    assert list(out.glob("ckpt_*.npz")) == []
 
 
 def test_checkpoint_from_older_schema_is_refused(tmp_path, monkeypatch, capsys):

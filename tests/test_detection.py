@@ -124,8 +124,10 @@ def test_monte_carlo_roc_fixed_taps_matches_analytic():
                        calibrate_threshold(x, cfg.noise_variance, 0.1))
     report = monte_carlo_roc(warden, cfg, s, 50_000, RngStream(2), fixed_taps=fixed)
     expected = pd_at_target_pf(energy(x), cfg.noise_variance, 0.1)
-    assert report.pf == pytest.approx(0.1, abs=3 * report.pf_stderr + 1e-9)
-    assert report.pd == pytest.approx(expected, abs=3 * report.pd_stderr + 1e-9)
+    for measured, p in ((report.pf, 0.1), (report.pd, expected)):
+        # three binomial standard errors of the measured rate
+        se = np.sqrt(measured * (1 - measured) / report.trials)
+        assert measured == pytest.approx(p, abs=3 * se + 1e-9)
 
 
 def test_monte_carlo_roc_random_taps_runs():

@@ -8,11 +8,16 @@ import pytest
 from dataclasses import replace
 
 from covertsim import evaluation
-from covertsim.adversarial import GeneratorSpec, TrainConfig, build_system, train
+from covertsim.adversarial import (
+    GeneratorSpec,
+    TrainConfig,
+    build_system,
+    csr_from_detections,
+    train,
+)
 from covertsim.evaluation import (
     NoiseInjectionTransmitter,
     SWEEP_NAMES,
-    csr_from_detections,
     evaluate_system,
     lrt_detection_for_signals,
     match_noise_injection_alpha,

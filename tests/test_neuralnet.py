@@ -468,9 +468,9 @@ def test_clip_weights():
 def test_checkpoint_roundtrip(tmp_path):
     net = _small_net(dropout=0.2, out_act="sigmoid")
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, {"gen": net}, seed=42, extra={"note": "x"})
+    save_checkpoint(path, {"gen": net}, extra={"note": "x"})
     nets, header = load_checkpoint(path)
-    assert header["seed"] == 42
+    assert set(header) == {"version", "extra", "nets"}
     assert header["extra"] == {"note": "x"}
     restored = nets["gen"]
     assert restored.specs == net.specs
@@ -482,12 +482,19 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_version_check(tmp_path):
     net = _small_net()
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, {"gen": net}, seed=0)
+    save_checkpoint(path, {"gen": net})
     import json
     data = dict(np.load(path))
     header = json.loads(bytes(data["__header__"]).decode())
-    header["version"] = 99
-    data["__header__"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-    np.savez(path, **data)
+
+    def rewrite(**fields):
+        data["__header__"] = np.frombuffer(json.dumps({**header, **fields}).encode(),
+                                           dtype=np.uint8)
+        np.savez(path, **data)
+
+    # files written while the header still had a seed field load as before
+    rewrite(seed=42)
+    np.testing.assert_array_equal(load_checkpoint(path)[0]["gen"].params, net.params)
+    rewrite(version=99)
     with pytest.raises(StateError):
         load_checkpoint(path)
