@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import doppler_rotate, propagate, propagate_adjoint, sample_taps
+from .channel import propagate, propagate_adjoint, sample_taps
 from .detection import pd_at_target_pf
 from .neuralnet import (
     AdamState,
@@ -259,31 +259,22 @@ def sample_latents(spec: GeneratorSpec, gen: np.random.Generator, count: int):
     return m, gen.standard_normal((count, spec.noise_dim))
 
 
-def sample_warden_taps(scenario: ScenarioPreset, batch: int, gen: np.random.Generator,
-                       slots: np.ndarray | None = None, n: int = 0) -> np.ndarray:
-    """Draw (K, batch, L) warden tap gains, optionally cross-warden correlated.
-
-    With slot indices given, row j is Doppler-rotated to the start time of
-    slot slots[j] (n symbols per slot); mixing precedes the rotation.
-    """
+def sample_warden_taps(scenario: ScenarioPreset, batch: int,
+                       gen: np.random.Generator) -> np.ndarray:
+    """Draw (K, batch, L) warden tap gains, optionally cross-warden correlated."""
     cfg = scenario.warden_config(0)
     if scenario.correlated_wardens:
         shared = np.sqrt(scenario.warden_mix) * sample_taps(cfg, gen, batch)
         own = np.sqrt(1.0 - scenario.warden_mix)
-        taps = np.stack([shared + own * sample_taps(cfg, gen, batch)
+        return np.stack([shared + own * sample_taps(cfg, gen, batch)
                          for _ in range(scenario.k)])
-    else:
-        taps = np.stack([sample_taps(cfg, gen, batch) for _ in range(scenario.k)])
-    if slots is not None:
-        taps = doppler_rotate(taps, slots * n * scenario.symbol_duration, scenario.doppler_hz)
-    return taps
+    return np.stack([sample_taps(cfg, gen, batch) for _ in range(scenario.k)])
 
 
-def sample_bob_taps(scenario: ScenarioPreset, batch: int, gen: np.random.Generator,
-                    slots: np.ndarray | None = None, n: int = 0) -> np.ndarray:
-    """Draw (batch, L) Bob tap gains, Doppler-rotated per slot as for the wardens."""
-    t = None if slots is None else slots * n * scenario.symbol_duration
-    return sample_taps(scenario.bob_config(), gen, batch, t)
+def sample_bob_taps(scenario: ScenarioPreset, batch: int,
+                    gen: np.random.Generator) -> np.ndarray:
+    """Draw (batch, L) Bob tap gains."""
+    return sample_taps(scenario.bob_config(), gen, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -506,20 +497,16 @@ def train(cfg: TrainConfig, scenario: ScenarioPreset, rng: RngStream,
     adam_d = AdamState(system.wardens.params.shape, lr=cfg.lr)
 
     spec = system.gen_spec
-    slot = 0
 
     def disc_round(where: str):
         """Draw one round and take the discriminators' ascent step on it."""
-        nonlocal slot
         m, z = sample_latents(spec, gen, cfg.batch)
-        slots = np.arange(slot, slot + cfg.batch, dtype=float)
-        slot += cfg.batch
-        w_taps = sample_warden_taps(scenario, cfg.batch, gen, slots, spec.n)
+        w_taps = sample_warden_taps(scenario, cfg.batch, gen)
         w_noise = np.stack([sample_awgn(spec.n, v, gen, count=cfg.batch)
                             for v in scenario.warden_sigma2])
         w_noise0 = np.stack([sample_awgn(spec.n, v, gen, count=cfg.batch)
                              for v in scenario.warden_sigma2])
-        b_taps = sample_bob_taps(scenario, cfg.batch, gen, slots, spec.n)
+        b_taps = sample_bob_taps(scenario, cfg.batch, gen)
         b_noise = sample_awgn(spec.n, system.bob_sigma2, gen, count=cfg.batch)
         s, _ = generate_signal(system, m, z)
         _require_finite(s, ["generator"], "signal", where)

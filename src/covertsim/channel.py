@@ -1,9 +1,9 @@
-"""Time-varying frequency-selective channel synthesis.
+"""Block-fading frequency-selective channel synthesis.
 
-Taps are drawn once per slot from a correlated complex Gaussian, then
-phase-rotated by the Doppler term for the slot's start time. Propagation
-is zero-prefix linear convolution truncated to the slot length (the l-th
-tap delays the signal by l samples).
+Taps are drawn fresh for every slot from a correlated complex Gaussian
+and held for the slot. Propagation is zero-prefix linear convolution
+truncated to the slot length (the l-th tap delays the signal by l
+samples).
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ class ChannelConfig:
 
     n_taps: int = 4
     rho: float = 0.5
-    doppler_hz: float = 10.0
-    symbol_duration: float = 1e-6
     noise_variance: float = 1.0
 
     def __post_init__(self):
@@ -35,10 +33,6 @@ class ChannelConfig:
             raise DomainError(f"n_taps must be >= 1, got {self.n_taps}")
         if not (0.0 <= self.rho < 1.0):
             raise DomainError(f"rho must be in [0,1), got {self.rho}")
-        if self.doppler_hz < 0:
-            raise DomainError(f"doppler_hz must be >= 0, got {self.doppler_hz}")
-        if self.symbol_duration <= 0:
-            raise DomainError(f"symbol_duration must be > 0, got {self.symbol_duration}")
         if self.noise_variance <= 0:
             raise DomainError(f"noise_variance must be > 0, got {self.noise_variance}")
 
@@ -46,26 +40,10 @@ class ChannelConfig:
         return CorrelationMatrix(self.n_taps, self.rho)
 
 
-def sample_taps(cfg: ChannelConfig, rng: RngStream | np.random.Generator, count: int,
-                t: np.ndarray | None = None) -> np.ndarray:
-    """Draw (count, L) correlated unit-mean-power tap gains.
-
-    With per-row slot start times t, row i is Doppler-rotated to t[i].
-    """
-    taps = sample_correlated_cgn(cfg.correlation(), rng, count=count)
-    return taps if t is None else doppler_rotate(taps, t, cfg.doppler_hz)
-
-
-def doppler_rotate(base_taps: np.ndarray, t, doppler_hz: float) -> np.ndarray:
-    """Rotate taps by exp(j 2 pi f_d t); magnitudes are untouched.
-
-    A scalar t rotates every tap; an array t rotates row i of base_taps
-    (leading axes broadcast) by the phase at t[i].
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise DomainError(f"time must be >= 0, got {t}")
-    return base_taps * np.exp(2j * np.pi * doppler_hz * t)[..., None]
+def sample_taps(cfg: ChannelConfig, rng: RngStream | np.random.Generator,
+                count: int) -> np.ndarray:
+    """Draw (count, L) correlated unit-mean-power tap gains, one row per slot."""
+    return sample_correlated_cgn(cfg.correlation(), rng, count=count)
 
 
 def _zeros_for(x: np.ndarray, taps: np.ndarray) -> np.ndarray:

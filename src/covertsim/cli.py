@@ -56,7 +56,6 @@ class RunConfig:
     k: int = 0                      # used only for scenario = custom
     sigma2: tuple[float, ...] = ()  # used only for scenario = custom
     rho: float = 0.5
-    doppler_hz: float = 10.0
     n_taps: int = 4
 
     message_bits: int = 8
@@ -84,7 +83,7 @@ class RunConfig:
     seed: int = 0
 
     _SECTIONS = {
-        "scenario": ("scenario", "k", "sigma2", "rho", "doppler_hz", "n_taps"),
+        "scenario": ("scenario", "k", "sigma2", "rho", "n_taps"),
         "generator": ("message_bits", "noise_dim", "n", "power_dbm", "hidden", "dropout"),
         "train": ("iterations", "batch", "lr", "mu", "loss_mode", "clip",
                   "disc_warmup", "snapshot_every", "snapshot_trials", "train_snr_db"),
@@ -168,11 +167,9 @@ class RunConfig:
     def scenario_preset(self) -> scenarios.ScenarioPreset:
         if self.scenario == "custom":
             return scenarios.make_scenario(self.k, list(self.sigma2) or None,
-                                           rho=self.rho, doppler_hz=self.doppler_hz,
-                                           n_taps=self.n_taps)
+                                           rho=self.rho, n_taps=self.n_taps)
         preset = scenarios.get_preset(self.scenario)
-        return dataclasses.replace(preset, rho=self.rho, doppler_hz=self.doppler_hz,
-                                   n_taps=self.n_taps)
+        return dataclasses.replace(preset, rho=self.rho, n_taps=self.n_taps)
 
     def _section(self, name: str) -> dict:
         return {key: getattr(self, key) for key in self._SECTIONS[name]}
@@ -246,10 +243,14 @@ def _report_rows(report, method: str):
 
 
 def _saved_config(header: dict) -> RunConfig:
-    """The run config a checkpoint was trained with (lists back to tuples)."""
-    extra = header["extra"]
-    if not extra or not set(extra) <= {f.name for f in dataclasses.fields(RunConfig)}:
-        raise ValidationError(f"checkpoint holds no run config, only {sorted(extra)}")
+    """The run config a checkpoint was trained with (lists back to tuples); a
+    ValidationError unless the header holds exactly this version's fields."""
+    extra, fields = header["extra"], {f.name for f in dataclasses.fields(RunConfig)}
+    if set(extra) != fields:
+        raise ValidationError(
+            f"checkpoint holds no run config, only {sorted(extra)} (missing "
+            f"{sorted(fields - set(extra))}, unknown {sorted(set(extra) - fields)}); "
+            "evaluate it with --config")
     return RunConfig(**{key: tuple(val) if isinstance(val, list) else val
                         for key, val in extra.items()})
 

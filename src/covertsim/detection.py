@@ -1,6 +1,5 @@
 """Analytic warden mathematics: matched likelihood-ratio test, threshold
-calibration, closed-form detection probability, KL covertness budget and
-BPSK error probability.
+calibration, closed-form detection probability and KL covertness budget.
 
 The LRT warden here is genie-aided (it knows the noise-free received
 signal exactly), so it upper-bounds any learned detector and doubles as
@@ -90,7 +89,7 @@ def kl_covertness(s: np.ndarray, tap_powers: np.ndarray, sigma2: float) -> float
     """KL budget between the warden's H1 and H0 observation distributions.
 
     Approximated as sum_l E[|h_l|^2] ||s||^2 / sigma2; tap_powers carries
-    the per-tap mean powers (the Doppler phase never changes them).
+    the per-tap mean powers.
     """
     if sigma2 <= 0:
         raise DomainError(f"sigma2 must be > 0, got {sigma2}")
@@ -111,13 +110,6 @@ def gaussian_kl_empirical(x: np.ndarray, sigma2: float, trials: int,
     # log p1/p0 = (2 Re(y^H x) - ||x||^2) / sigma2
     stat = 2.0 * np.real(np.sum(np.conj(y) * x[None, :], axis=1)) - energy(x)
     return float(np.mean(stat) / sigma2)
-
-
-def analytic_ber_bpsk(snr: float) -> float:
-    """BPSK error probability Q(sqrt(snr)) over AWGN."""
-    if snr < 0:
-        raise DomainError(f"snr must be >= 0, got {snr}")
-    return q_function(np.sqrt(snr))
 
 
 def monte_carlo_roc(warden: LrtWarden, cfg: ChannelConfig, s: np.ndarray,

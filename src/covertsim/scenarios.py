@@ -23,8 +23,6 @@ class ScenarioPreset:
     name: str
     warden_sigma2: tuple[float, ...]
     rho: float = 0.5
-    doppler_hz: float = 10.0
-    symbol_duration: float = 1e-6
     n_taps: int = 4
     correlated_wardens: bool = False
     warden_mix: float = 0.7
@@ -42,15 +40,12 @@ class ScenarioPreset:
         return len(self.warden_sigma2)
 
     def warden_config(self, i: int) -> ChannelConfig:
-        return ChannelConfig(
-            n_taps=self.n_taps, rho=self.rho, doppler_hz=self.doppler_hz,
-            symbol_duration=self.symbol_duration, noise_variance=self.warden_sigma2[i],
-        )
+        return ChannelConfig(n_taps=self.n_taps, rho=self.rho,
+                             noise_variance=self.warden_sigma2[i])
 
     def bob_config(self) -> ChannelConfig:
         """Bob's channel; its noise variance is set per run from the SNR."""
-        return ChannelConfig(n_taps=self.n_taps, rho=self.rho, doppler_hz=self.doppler_hz,
-                             symbol_duration=self.symbol_duration)
+        return ChannelConfig(n_taps=self.n_taps, rho=self.rho)
 
     def averaged(self) -> "ScenarioPreset":
         """Collapse all wardens into one mean warden (single-discriminator baseline)."""

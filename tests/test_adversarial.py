@@ -179,17 +179,6 @@ def test_correlated_wardens_share_fading():
     assert corr0 < 0.1
 
 
-def test_doppler_slots_rotate_not_scale():
-    scen = make_scenario(1)
-    gen = RngStream(4).generator()
-    slots = np.arange(4, dtype=float)
-    taps = sample_bob_taps(scen, 4, gen, slots=slots, n=32)
-    gen2 = RngStream(4).generator()
-    base = sample_bob_taps(scen, 4, gen2)
-    np.testing.assert_allclose(np.abs(taps), np.abs(base))
-    assert not np.allclose(taps[1:], base[1:])
-
-
 # ---------------------------------------------------------------------------
 # full-chain gradient check (small shapes; desk scale in acceptance)
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Tests for the channel layer: configuration validation, hand-checked
-convolution, the adjoint identity (also over leading warden/batch axes),
-Doppler rotation and tap statistics."""
+convolution, the adjoint identity (also over leading warden/batch axes)
+and tap statistics."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from covertsim.channel import (
     ChannelConfig,
-    doppler_rotate,
     propagate,
     propagate_adjoint,
     sample_taps,
@@ -32,8 +31,8 @@ def test_config_defaults_are_valid():
     {"n_taps": 0},
     {"rho": 1.0},
     {"rho": -0.2},
-    {"doppler_hz": -1.0},
-    {"symbol_duration": 0.0},
+    {"rho": float("nan")},
+    {"noise_variance": -1.0},
     {"noise_variance": 0.0},
 ])
 def test_config_validation(kwargs):
@@ -134,50 +133,6 @@ def test_propagate_adjoint_hand_value():
     taps = np.array([[1.0, 2.0]], dtype=complex)
     # grad_s[0] = conj(h0) g[0] + conj(h1) g[1]; grad_s[1] = conj(h0) g[1]
     np.testing.assert_allclose(propagate_adjoint(g, taps), [[1.0 + 2.0j, 1.0j]])
-
-
-# ---------------------------------------------------------------------------
-# Doppler
-# ---------------------------------------------------------------------------
-
-def test_doppler_rotation_unit_magnitude():
-    taps = np.array([1.0 + 1.0j, 2.0, 0.5j])
-    rotated = doppler_rotate(taps, t=0.123, doppler_hz=10.0)
-    np.testing.assert_allclose(np.abs(rotated), np.abs(taps))
-
-
-def test_doppler_phase_hand_value():
-    rotated = doppler_rotate(np.array([1.0 + 0j]), t=0.025, doppler_hz=10.0)
-    # phase = 2 pi * 10 * 0.025 = pi/2
-    np.testing.assert_allclose(rotated, [1.0j], atol=1e-12)
-
-
-def test_doppler_zero_frequency_is_identity():
-    taps = np.array([1.0 + 2.0j])
-    np.testing.assert_array_equal(doppler_rotate(taps, 5.0, 0.0), taps)
-
-
-def test_doppler_rejects_negative_time():
-    with pytest.raises(DomainError):
-        doppler_rotate(np.ones(2, dtype=complex), -1.0, 10.0)
-
-
-def test_doppler_rotates_rows_by_their_own_time():
-    taps = np.ones((2, 3), dtype=complex)
-    rotated = doppler_rotate(taps, np.array([0.0, 0.025]), doppler_hz=10.0)
-    np.testing.assert_allclose(rotated, [[1.0] * 3, [1.0j] * 3], atol=1e-12)
-    with pytest.raises(DomainError):
-        doppler_rotate(taps, np.array([0.0, -1.0]), 10.0)
-
-
-def test_sample_taps_rotation_matches_unrotated_draw():
-    cfg = ChannelConfig()
-    t = np.array([0.0, 1e-3, 2e-3])
-    base = sample_taps(cfg, RngStream(2), 3)
-    rotated = sample_taps(cfg, RngStream(2), 3, t)
-    assert rotated.shape == (3, cfg.n_taps)
-    np.testing.assert_array_equal(rotated, doppler_rotate(base, t, cfg.doppler_hz))
-    np.testing.assert_allclose(np.abs(rotated), np.abs(base))
 
 
 # ---------------------------------------------------------------------------

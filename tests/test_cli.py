@@ -101,6 +101,7 @@ def test_validate_names_offending_field(overrides, needle):
 @pytest.mark.parametrize("text,needle", [
     ("[train]\niteration = 5\n", "iteration"),
     ("[eval]\nepsilon = 0.1\n", "epsilon"),
+    ("[scenario]\ndoppler_hz = 10\n", "doppler_hz: unknown key in \\[scenario\\]"),
     ("[runs]\nseed = 1\n", "runs"),
     ("[train]\niterations = many\n", "iterations"),
     ("iterations = 5\n", "no section headers"),
@@ -151,7 +152,7 @@ def test_default_config_matches_the_library_and_is_pinned():
             assert getattr(cfg, key) == getattr(train_cfg, key), key
     assert cfg.target_pf == train_cfg.target_pf
     # output names and manifests carry the digest; a default moving changes it
-    assert cfg.digest() == "1aabbdee"
+    assert cfg.digest() == "08600554"
 
 
 def test_digest_tracks_content():
@@ -626,6 +627,28 @@ def test_eval_refuses_a_checkpoint_without_a_run_config(tmp_path, capsys):
     assert main(["eval", str(ckpt), "--trials", "200",
                  "--out", str(tmp_path / "runs")]) == EXIT_VALIDATION
     assert "no run config, only []" in capsys.readouterr().err
+    # a header with only some fields is refused too, not filled with defaults
+    neuralnet.save_checkpoint(ckpt, cli._nets(system), extra={"seed": 3})
+    assert main(["eval", str(ckpt), "--trials", "200",
+                 "--out", str(tmp_path / "runs")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "no run config, only ['seed'] (missing ['batch', 'clip'," in err
+    assert "unknown []); evaluate it with --config" in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_a_checkpoint_saved_with_doppler_hz_evaluates_only_with_a_config(tmp_path, capsys):
+    # files written before the Doppler knob was deleted hold it in their run config
+    cfg, path = _tiny_config(tmp_path)
+    out = tmp_path / "runs"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    ckpt = out / f"ckpt_{cfg.digest()}_s0.npz"
+    nets, header = neuralnet.load_checkpoint(ckpt)
+    neuralnet.save_checkpoint(ckpt, nets, extra={**header["extra"], "doppler_hz": 10.0})
+    assert main(["eval", str(ckpt), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "missing [], unknown ['doppler_hz']" in err and "--config" in err
+    assert main(["eval", str(ckpt), "--config", str(path), "--out", str(out)]) == EXIT_OK
 
 
 def test_a_failed_save_leaves_no_checkpoint(tmp_path, monkeypatch):

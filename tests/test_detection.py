@@ -1,6 +1,6 @@
 """Tests for the detection layer: LRT statistic, threshold calibration,
-closed-form detection probability against Monte Carlo, KL covertness and
-BPSK error probability against simulation oracles."""
+closed-form detection probability against Monte Carlo and KL covertness
+against simulation oracles."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ import pytest
 from covertsim.channel import ChannelConfig, propagate, sample_taps
 from covertsim.detection import (
     LrtWarden,
-    analytic_ber_bpsk,
     analytic_pd,
     calibrate_threshold,
     gaussian_kl_empirical,
@@ -172,22 +171,3 @@ def test_kl_rejects_bad_sigma2():
     with pytest.raises(DomainError):
         kl_covertness(np.ones(2, dtype=complex), np.ones(1), 0.0)
 
-
-# ---------------------------------------------------------------------------
-# BPSK error probability
-# ---------------------------------------------------------------------------
-
-def test_analytic_ber_matches_simulation():
-    snr = 4.0
-    gen = RngStream(5).generator()
-    bits = np.sign(gen.standard_normal(200_000))
-    rx = np.sqrt(snr) * bits + gen.standard_normal(200_000)
-    ber_mc = np.mean(np.sign(rx) != bits)
-    ber = analytic_ber_bpsk(snr)
-    assert ber_mc == pytest.approx(ber, abs=3 * np.sqrt(ber * (1 - ber) / 200_000))
-
-
-def test_analytic_ber_edge_values():
-    assert analytic_ber_bpsk(0.0) == pytest.approx(0.5)
-    with pytest.raises(DomainError):
-        analytic_ber_bpsk(-1.0)
