@@ -52,6 +52,8 @@ class GeneratorSpec:
             raise DomainError(f"power budget must be > 0, got {self.power}")
         if not (0.0 <= self.dropout < 1.0):
             raise DomainError(f"dropout must be in [0,1), got {self.dropout}")
+        if any(width < 1 for width in self.hidden):
+            raise DomainError(f"hidden layer widths must be >= 1, got {self.hidden}")
 
 
 @dataclass
@@ -155,11 +157,6 @@ def decoder_input(y_b: np.ndarray, bob_taps: np.ndarray) -> np.ndarray:
     """
     return np.concatenate([to_reim(propagate_adjoint(y_b, bob_taps)),
                            to_reim(bob_taps)], axis=1)
-
-
-def decoder_input_backward(grad_feat: np.ndarray, bob_taps: np.ndarray) -> np.ndarray:
-    """Push a gradient w.r.t. the matched-filter output back to y_b."""
-    return propagate(grad_feat, bob_taps)
 
 
 def build_system(gen_spec: GeneratorSpec, scenario: ScenarioPreset, rng: RngStream,
@@ -318,7 +315,8 @@ def generator_loss(system: System, m, z, warden_taps, warden_noise,
     mse, gpred = mse_loss(m_hat, m)
     dec_grads, gin = system.decoder.backward(dec_cache, mu * gpred)
     n2 = 2 * system.gen_spec.n
-    grad_y_b = decoder_input_backward(from_reim(gin[:, :n2]), bob_taps)
+    # the matched filter is the channel's adjoint, so its adjoint is the channel
+    grad_y_b = propagate(from_reim(gin[:, :n2]), bob_taps)
     grad_s += propagate_adjoint(grad_y_b, bob_taps)
 
     gen_grads = signal_gradient_to_generator(system, grad_s, aux)
@@ -502,10 +500,8 @@ def train(cfg: TrainConfig, scenario: ScenarioPreset, rng: RngStream,
         """Draw one round and take the discriminators' ascent step on it."""
         m, z = sample_latents(spec, gen, cfg.batch)
         w_taps = sample_warden_taps(scenario, cfg.batch, gen)
-        w_noise = np.stack([sample_awgn(spec.n, v, gen, count=cfg.batch)
-                            for v in scenario.warden_sigma2])
-        w_noise0 = np.stack([sample_awgn(spec.n, v, gen, count=cfg.batch)
-                             for v in scenario.warden_sigma2])
+        w_noise = sample_awgn(spec.n, scenario.warden_sigma2, gen, count=cfg.batch)
+        w_noise0 = sample_awgn(spec.n, scenario.warden_sigma2, gen, count=cfg.batch)
         b_taps = sample_bob_taps(scenario, cfg.batch, gen)
         b_noise = sample_awgn(spec.n, system.bob_sigma2, gen, count=cfg.batch)
         s, _ = generate_signal(system, m, z)
@@ -586,9 +582,7 @@ def adaptive_warden_loop(system: System, rng: RngStream, period: int = 1000,
         m, z = sample_latents(spec, gen, batch)
         s, _ = generate_signal(system, m, z)
         taps = sample_warden_taps(scen, batch, gen)
-        noise = np.stack([sample_awgn(spec.n, v, gen, count=batch)
-                          for v in scen.warden_sigma2])
-        y1 = propagate(s, taps) + noise
+        y1 = propagate(s, taps) + sample_awgn(spec.n, scen.warden_sigma2, gen, count=batch)
         seen.append(y1)
         metric[it] = np.mean(np.mean(wardens.forward(to_reim(y1))[0][..., 0], axis=-1))
         if (it + 1) % period == 0:

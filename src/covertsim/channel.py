@@ -9,15 +9,11 @@ samples).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .numerics import (
-    CorrelationMatrix,
-    DomainError,
-    RngStream,
-    sample_correlated_cgn,
-)
+from .numerics import DomainError, RngStream
 
 
 @dataclass(frozen=True)
@@ -36,14 +32,29 @@ class ChannelConfig:
         if self.noise_variance <= 0:
             raise DomainError(f"noise_variance must be > 0, got {self.noise_variance}")
 
-    def correlation(self) -> CorrelationMatrix:
-        return CorrelationMatrix(self.n_taps, self.rho)
+    def correlation(self) -> np.ndarray:
+        """The (L, L) tap correlation R, entry (m, n) = rho^|m - n|."""
+        idx = np.arange(self.n_taps)
+        return self.rho ** np.abs(idx[:, None] - idx[None, :])
+
+
+@lru_cache(maxsize=64)
+def tap_factor(n_taps: int, rho: float) -> np.ndarray:
+    """Read-only lower Cholesky factor L of R, with L @ L.T = R. R is the
+    AR(1) covariance, positive definite for every rho ChannelConfig accepts."""
+    factor = np.linalg.cholesky(ChannelConfig(n_taps, rho).correlation())
+    factor.flags.writeable = False
+    return factor
 
 
 def sample_taps(cfg: ChannelConfig, rng: RngStream | np.random.Generator,
                 count: int) -> np.ndarray:
-    """Draw (count, L) correlated unit-mean-power tap gains, one row per slot."""
-    return sample_correlated_cgn(cfg.correlation(), rng, count=count)
+    """Draw (count, L) tap gains, one row per slot, circularly symmetric
+    CN(0, R): unit mean power, real and imaginary parts each of covariance R/2."""
+    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    shape = (count, cfg.n_taps)
+    white = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    return (white / np.sqrt(2.0)) @ tap_factor(cfg.n_taps, cfg.rho).T
 
 
 def _zeros_for(x: np.ndarray, taps: np.ndarray) -> np.ndarray:

@@ -48,6 +48,13 @@ class ValidationError(ValueError):
     pass
 
 
+def _finite(raw: str) -> float:
+    """float(raw), refusing nan and inf, which no run can use."""
+    if not np.isfinite(value := float(raw)):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
     """Everything a run needs, serializable to a sectioned key=value file."""
@@ -97,6 +104,10 @@ class RunConfig:
 
     def validate(self) -> None:
         """Raise ValidationError naming the first field the run cannot use."""
+        for key, val in dataclasses.asdict(self).items():
+            values = val if isinstance(val, tuple) else (val,)
+            if not all(np.isfinite(v) for v in values if isinstance(v, float)):
+                raise ValidationError(f"{key}: must be finite, got {val}")
         if self.scenario == "custom" and self.k < 1:
             raise ValidationError("K: custom scenarios need K >= 1")
         for section, build in (("scenario", self.scenario_preset),
@@ -108,6 +119,8 @@ class RunConfig:
                 raise ValidationError(f"[{section}] {exc}") from None
         if self.n % self.message_bits != 0:
             raise ValidationError("n: must be a multiple of message_bits")
+        if self.n < self.n_taps:
+            raise ValidationError(f"n: the slot must hold the n_taps = {self.n_taps} channel taps")
         if self.trials < 100:
             raise ValidationError("trials: the evaluator needs at least 100")
 
@@ -154,12 +167,12 @@ class RunConfig:
         typ = str(typ)
         if typ.startswith("tuple["):
             # only a wholly empty value is (), as in ``sigma2 =``; an empty entry is refused
-            item = float if typ.startswith("tuple[float") else int
+            item = _finite if typ.startswith("tuple[float") else int
             return tuple(item(v) for v in raw.split(",")) if raw else ()
         if typ == "int":
             return int(raw)
         if typ == "float":
-            return float(raw)
+            return _finite(raw)
         return raw
 
     # -- conversions to library objects --------------------------------------
@@ -212,6 +225,8 @@ def _write_trainlog(path: Path, log) -> None:
 
 
 CSV_HEADER = ["method", "scenario", "K", "metric", "value", "stderr", "seed"]
+# the metrics ``report`` summarises; rows of any other metric are skipped
+REPORT_METRICS = ("mean_pd", "mean_pf", "mean_pd_lrt", "ber", "csr")
 
 
 def _write_csv(path: Path, rows) -> None:
@@ -515,7 +530,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = []
+    summary = {}
     for path in args.csv:
         with open(path) as fh:
             reader = csv.reader(fh)
@@ -523,23 +538,24 @@ def cmd_report(args) -> int:
             if header != CSV_HEADER:
                 print(f"{path}: unexpected header {header}", file=sys.stderr)
                 return EXIT_VALIDATION
-            rows.extend(reader)
-    summary = {}
-    for method, scen, k, metric, value, _, _ in rows:
-        if metric in ("mean_pd", "mean_pf", "mean_pd_lrt", "ber", "csr"):
-            summary.setdefault((scen, method, k), {}).setdefault(metric, []).append(float(value))
+            for row in reader:
+                try:
+                    method, scen, k, metric, value, _, _ = row
+                    if metric in REPORT_METRICS:
+                        summary.setdefault((scen, method, k), {}).setdefault(
+                            metric, []).append(float(value))
+                except ValueError as exc:
+                    print(f"{path}, line {reader.line_num}: malformed row: {exc}", file=sys.stderr)
+                    return EXIT_VALIDATION
     out = Path(args.out) / "summary.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["scenario", "method", "K", "mean_pd", "mean_pf",
-                         "mean_pd_lrt", "ber", "csr", "n_runs"])
+        writer.writerow(["scenario", "method", "K", *REPORT_METRICS, "n_runs"])
         for (scen, method, k), metrics in sorted(summary.items()):
             n_runs = max(len(v) for v in metrics.values())
-            writer.writerow([scen, method, k] +
-                            [f"{np.mean(metrics[m]):.6g}" if m in metrics else ""
-                             for m in ("mean_pd", "mean_pf", "mean_pd_lrt", "ber", "csr")] +
-                            [n_runs])
+            writer.writerow([scen, method, k, *(f"{np.mean(metrics[m]):.6g}" if m in metrics
+                                                else "" for m in REPORT_METRICS), n_runs])
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -31,7 +31,7 @@ from .adversarial import (
     train,
     warden_detection,
 )
-from .channel import propagate
+from .channel import propagate, propagate_adjoint
 from .detection import pd_at_target_pf
 from .neuralnet import DenseNet, row_blocks
 from .numerics import DomainError, RngStream, sample_awgn
@@ -158,17 +158,11 @@ class NoiseInjectionTransmitter:
         return project_power(sig + mask, p)[0]
 
     def decode(self, y: np.ndarray, taps: np.ndarray) -> np.ndarray:
-        """Matched-filter decode with perfect CSI: correlate against each
-        bit's channel-convolved chip pattern and take the sign."""
-        y = np.atleast_2d(y)
-        batch, n = y.shape
-        m_bits = self.spec.message_bits
-        basis = self.chips(np.eye(m_bits))  # bit j's chip pattern in row j
-        out = np.empty((batch, m_bits))
-        for j in range(m_bits):
-            ref = propagate(np.broadcast_to(basis[j].astype(complex), (batch, n)), taps)
-            out[:, j] = np.real(np.sum(np.conj(ref) * y, axis=1))
-        return np.sign(out + 1e-12)
+        """Matched-filter decode with perfect CSI: the sign of each bit's
+        correlation Re<H c_j, y> with its channel-convolved chip pattern c_j,
+        computed as Re<c_j, H^H y> after one adjoint pass."""
+        basis = self.chips(np.eye(self.spec.message_bits))  # bit j's chip pattern in row j
+        return np.sign(np.real(propagate_adjoint(np.atleast_2d(y), taps)) @ basis.T + 1e-12)
 
 
 def noise_injection_ber(tx: NoiseInjectionTransmitter, scenario: ScenarioPreset,

@@ -1,5 +1,5 @@
-"""Low-level numerics: complex vector helpers, Q-function, correlated
-complex-Gaussian sampling and reproducible counter-based RNG streams.
+"""Low-level numerics: complex vector helpers, Q-function, complex white
+Gaussian noise and reproducible counter-based RNG streams.
 
 Complex baseband vectors are plain numpy complex128 arrays. The real/imag
 pair view used at network boundaries (a length-2N real vector, real half
@@ -9,7 +9,6 @@ first) is provided by :func:`to_reim` / :func:`from_reim`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -17,10 +16,6 @@ from scipy import special
 
 class DomainError(ValueError):
     """Raised when an input is outside an operation's domain."""
-
-
-class DecompositionError(ValueError):
-    """Raised when a matrix factorization fails (not positive definite)."""
 
 
 # ---------------------------------------------------------------------------
@@ -101,66 +96,24 @@ def q_inverse(p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# correlation matrices and correlated sampling
+# white noise
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Exponential correlation matrix entry(m,n) = rho^|m-n|."""
-
-    dim: int
-    rho: float
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise DomainError(f"dim must be >= 1, got {self.dim}")
-        if not (0.0 <= self.rho < 1.0):
-            raise DomainError(f"rho must be in [0,1), got {self.rho}")
-
-    @property
-    def entries(self) -> np.ndarray:
-        idx = np.arange(self.dim)
-        return self.rho ** np.abs(idx[:, None] - idx[None, :])
-
-
-def cholesky(corr: CorrelationMatrix | np.ndarray) -> np.ndarray:
-    """Lower-triangular factor L with L @ L.T equal to the correlation matrix."""
-    mat = corr.entries if isinstance(corr, CorrelationMatrix) else np.asarray(corr, dtype=float)
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"matrix is not positive definite: {exc}") from exc
-
-
-@lru_cache(maxsize=64)
-def _cached_factor(corr: CorrelationMatrix) -> np.ndarray:
-    factor = cholesky(corr)
-    factor.flags.writeable = False
-    return factor
-
-
-def sample_correlated_cgn(corr: CorrelationMatrix, rng: RngStream | np.random.Generator,
-                          count: int = 1) -> np.ndarray:
-    """Draw circularly symmetric complex Gaussian vectors with E[v v^H] = R.
-
-    Real and imaginary parts each carry covariance R/2. Returns shape
-    (count, dim); squeeze to (dim,) with count=1 left to the caller.
-    """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    factor = _cached_factor(corr)
-    white = gen.standard_normal((count, corr.dim)) + 1j * gen.standard_normal((count, corr.dim))
-    return (white / np.sqrt(2.0)) @ factor.T
-
-
-def sample_awgn(n: int, variance: float, rng: RngStream | np.random.Generator,
+def sample_awgn(n: int, variance: float | tuple[float, ...], rng: RngStream | np.random.Generator,
                 count: int | None = None) -> np.ndarray:
-    """I.i.d. circularly symmetric complex noise with per-entry E[|n_k|^2] = variance."""
-    if variance <= 0:
+    """I.i.d. circularly symmetric complex noise with per-entry E[|n_k|^2] = variance.
+
+    A sequence of K variances gives (K, ...) noise, drawn as K one-variance
+    calls in turn: each variance's real part, then its imaginary part.
+    """
+    var = np.asarray(variance, dtype=float)
+    if not np.all(var > 0):
         raise DomainError(f"noise variance must be > 0, got {variance}")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     shape = (n,) if count is None else (count, n)
-    scale = np.sqrt(variance / 2.0)
-    out = np.empty(shape, dtype=complex)
-    out.real = scale * gen.standard_normal(shape)
-    out.imag = scale * gen.standard_normal(shape)
+    out = np.empty(var.shape + shape, dtype=complex)
+    for v, part in zip(var.reshape(-1), out.reshape(-1, *shape)):
+        scale = np.sqrt(v / 2.0)
+        part.real = scale * gen.standard_normal(shape)
+        part.imag = scale * gen.standard_normal(shape)
     return out

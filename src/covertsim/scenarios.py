@@ -30,10 +30,11 @@ class ScenarioPreset:
     def __post_init__(self):
         if len(self.warden_sigma2) < 1:
             raise DomainError("a scenario needs at least one warden")
-        if any(v <= 0 for v in self.warden_sigma2):
+        if not all(v > 0 for v in self.warden_sigma2):
             raise DomainError("warden noise variances must be > 0")
         if not (0.0 <= self.warden_mix <= 1.0):
             raise DomainError(f"warden_mix must be in [0,1], got {self.warden_mix}")
+        self.bob_config()  # ChannelConfig checks n_taps and rho
 
     @property
     def k(self) -> int:

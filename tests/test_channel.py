@@ -1,6 +1,6 @@
-"""Tests for the channel layer: configuration validation, hand-checked
-convolution, the adjoint identity (also over leading warden/batch axes)
-and tap statistics."""
+"""Tests for the channel layer: configuration validation, the tap
+correlation and its Cholesky factor, hand-checked convolution, the adjoint
+identity (also over leading warden/batch axes) and tap statistics."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from covertsim.channel import (
     propagate,
     propagate_adjoint,
     sample_taps,
+    tap_factor,
 )
 from covertsim.numerics import DomainError, RngStream
 
@@ -23,8 +24,8 @@ from covertsim.numerics import DomainError, RngStream
 def test_config_defaults_are_valid():
     cfg = ChannelConfig()
     assert cfg.n_taps == 4
-    assert cfg.correlation().dim == 4
-    assert cfg.correlation().rho == 0.5
+    assert cfg.correlation().shape == (4, 4)
+    assert cfg.correlation()[0, 1] == 0.5
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -38,6 +39,35 @@ def test_config_defaults_are_valid():
 def test_config_validation(kwargs):
     with pytest.raises(DomainError):
         ChannelConfig(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# tap correlation and its factor
+# ---------------------------------------------------------------------------
+
+def test_correlation_entries_hand_value():
+    mat = ChannelConfig(n_taps=3, rho=0.5).correlation()
+    np.testing.assert_allclose(mat, [[1.0, 0.5, 0.25],
+                                     [0.5, 1.0, 0.5],
+                                     [0.25, 0.5, 1.0]])
+
+
+def test_correlation_rho_zero_is_identity():
+    np.testing.assert_allclose(ChannelConfig(n_taps=4, rho=0.0).correlation(), np.eye(4))
+
+
+def test_tap_factor_hand_value():
+    # for [[1, .5], [.5, 1]]: L = [[1, 0], [.5, sqrt(.75)]]
+    np.testing.assert_allclose(tap_factor(2, 0.5), [[1.0, 0.0], [0.5, np.sqrt(0.75)]])
+
+
+def test_tap_factor_reconstructs_and_is_cached_read_only():
+    factor = tap_factor(5, 0.7)
+    np.testing.assert_allclose(factor @ factor.T,
+                               ChannelConfig(n_taps=5, rho=0.7).correlation(), atol=1e-12)
+    assert np.allclose(factor, np.tril(factor))
+    assert tap_factor(5, 0.7) is factor
+    assert not factor.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -145,4 +175,20 @@ def test_tap_unit_mean_power_and_correlation():
     power = np.mean(np.abs(taps) ** 2, axis=0)
     np.testing.assert_allclose(power, 1.0, atol=0.02)
     emp = (taps.conj().T @ taps) / taps.shape[0]
-    np.testing.assert_allclose(emp.real, cfg.correlation().entries, atol=0.02)
+    np.testing.assert_allclose(emp.real, cfg.correlation(), atol=0.02)
+
+
+def test_tap_covariance_monte_carlo():
+    cfg = ChannelConfig(n_taps=3, rho=0.6)
+    taps = sample_taps(cfg, RngStream(0), count=200_000)
+    emp = (taps.conj().T @ taps) / taps.shape[0]
+    np.testing.assert_allclose(emp.real, cfg.correlation(), atol=0.02)
+    np.testing.assert_allclose(emp.imag, 0.0, atol=0.02)
+    np.testing.assert_allclose(taps.mean(axis=0), 0.0, atol=0.01)
+
+
+def test_taps_are_circularly_symmetric():
+    # pseudo-covariance E[h h^T] of a circular Gaussian vanishes
+    taps = sample_taps(ChannelConfig(n_taps=3, rho=0.6), RngStream(1), count=200_000)
+    pseudo = (taps.T @ taps) / taps.shape[0]
+    np.testing.assert_allclose(np.abs(pseudo), 0.0, atol=0.02)

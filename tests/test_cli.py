@@ -91,6 +91,18 @@ def test_power_dbm_to_linear():
     ({"lr": -1.0}, "lr"),
     ({"mu": -5.0}, "mu"),
     ({"disc_warmup": -3}, "disc_warmup"),
+    ({"eval_snr_db": float("nan")}, "eval_snr_db"),
+    ({"power_dbm": float("nan")}, "power_dbm"),
+    ({"power_dbm": float("inf")}, "power_dbm"),
+    ({"lr": float("nan")}, "lr"),
+    ({"lr": float("inf")}, "lr"),
+    ({"mu": float("nan")}, "mu"),
+    ({"train_snr_db": float("nan")}, "train_snr_db"),
+    ({"scenario": "custom", "k": 2, "sigma2": (1.0, float("nan"))}, "sigma2"),
+    ({"n_taps": 0}, "n_taps"),
+    ({"rho": 1.5}, "rho"),
+    ({"hidden": (64, 0)}, "hidden"),
+    ({"n": 2, "message_bits": 2}, "n_taps"),
 ])
 def test_validate_names_offending_field(overrides, needle):
     cfg = RunConfig(**overrides)
@@ -109,6 +121,9 @@ def test_validate_names_offending_field(overrides, needle):
     ("[DEFAULT]\niterations = 5\n", "DEFAULT"),
     ("[DEFAULT]\niterations = 5\n[train]\nbatch = 8\n", "DEFAULT"),
     ("[generator]\nhidden = 64,,64\n", "hidden"),
+    ("[eval]\neval_snr_db = nan\n", "eval_snr_db: not a finite number"),
+    ("[generator]\npower_dbm = inf\n", "power_dbm: not a finite number"),
+    ("[scenario]\nsigma2 = 0.5,nan\n", "sigma2: not a finite number"),
 ])
 def test_load_rejects_unknown_or_unparsable_keys(tmp_path, text, needle):
     path = tmp_path / "run.cfg"
@@ -201,6 +216,22 @@ def test_train_eval_report_pipeline(tmp_path, capsys):
         srows = list(csv.reader(fh))
     assert srows[0][0] == "scenario"
     assert len(srows) == 2
+
+
+@pytest.mark.parametrize("row,code", [
+    (["proposed", "urban", "3", "csr", "0.5"], EXIT_VALIDATION),
+    (["proposed", "urban", "3", "csr", "abc", "0.0", "0"], EXIT_VALIDATION),
+    # a metric report does not summarise is skipped, whatever its value
+    (["proposed", "summary", "", "csr_trend", "increasing", "", ""], EXIT_OK),
+])
+def test_report_refuses_a_malformed_row(tmp_path, capsys, row, code):
+    path = tmp_path / "metrics.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([CSV_HEADER, ["proposed", "urban", "3", "ber", "0.1", "0.0", "0"],
+                                  row])
+    assert main(["report", str(path), "--out", str(tmp_path / "out")]) == code
+    if code == EXIT_VALIDATION:
+        assert f"{path}, line 3: malformed row" in capsys.readouterr().err
 
 
 def test_eval_checkpoint_without_config(tmp_path, monkeypatch):

@@ -27,6 +27,7 @@ from covertsim.evaluation import (
     run_sweeps,
     single_discriminator_baseline,
 )
+from covertsim.channel import propagate
 from covertsim.numerics import DomainError, RngStream
 from covertsim.scenarios import get_preset, make_scenario
 
@@ -133,6 +134,28 @@ def test_noise_injection_alpha_validation():
         NoiseInjectionTransmitter(1.5, TINY_SPEC)
     with pytest.raises(DomainError):
         NoiseInjectionTransmitter(0.5, GeneratorSpec(message_bits=3, n=8))
+
+
+def _per_bit_correlation_decode(tx, y, taps):
+    """Reference matched filter: correlate y with each bit's chip pattern
+    pushed through the channel, one propagate pass per bit."""
+    batch, n = y.shape
+    basis = tx.chips(np.eye(tx.spec.message_bits))
+    out = np.empty((batch, tx.spec.message_bits))
+    for j in range(tx.spec.message_bits):
+        ref = propagate(np.broadcast_to(basis[j].astype(complex), (batch, n)), taps)
+        out[:, j] = np.real(np.sum(np.conj(ref) * y, axis=1))
+    return np.sign(out + 1e-12)
+
+
+@pytest.mark.parametrize("spec", [TINY_SPEC, GeneratorSpec()])
+def test_noise_injection_decode_matches_per_bit_correlation(spec):
+    tx = NoiseInjectionTransmitter(0.5, spec)
+    gen = RngStream(9).generator()
+    shape = (2000, spec.n)
+    y = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    taps = gen.standard_normal((2000, 4)) + 1j * gen.standard_normal((2000, 4))
+    np.testing.assert_array_equal(tx.decode(y, taps), _per_bit_correlation_decode(tx, y, taps))
 
 
 def test_noise_injection_ber_improves_with_snr():

@@ -1,6 +1,5 @@
 """Tests for the numerics layer: complex helpers, Q-function against a
-quadrature oracle, RNG streams, correlation matrices and correlated
-complex-Gaussian sampling."""
+quadrature oracle, RNG streams and complex white Gaussian noise."""
 
 import numpy as np
 import pytest
@@ -9,17 +8,13 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from covertsim.numerics import (
-    CorrelationMatrix,
-    DecompositionError,
     DomainError,
     RngStream,
-    cholesky,
     energy,
     from_reim,
     q_function,
     q_inverse,
     sample_awgn,
-    sample_correlated_cgn,
     to_reim,
 )
 
@@ -157,60 +152,8 @@ def test_rng_stream_is_frozen():
 
 
 # ---------------------------------------------------------------------------
-# correlation matrices and sampling
+# white noise
 # ---------------------------------------------------------------------------
-
-def test_correlation_entries_hand_value():
-    mat = CorrelationMatrix(3, 0.5).entries
-    np.testing.assert_allclose(mat, [[1.0, 0.5, 0.25],
-                                     [0.5, 1.0, 0.5],
-                                     [0.25, 0.5, 1.0]])
-
-
-def test_correlation_rho_zero_is_identity():
-    np.testing.assert_allclose(CorrelationMatrix(4, 0.0).entries, np.eye(4))
-
-
-@pytest.mark.parametrize("dim,rho", [(0, 0.5), (2, 1.0), (2, -0.1)])
-def test_correlation_domain(dim, rho):
-    with pytest.raises(DomainError):
-        CorrelationMatrix(dim, rho)
-
-
-def test_cholesky_hand_value():
-    # for [[1, .5], [.5, 1]]: L = [[1, 0], [.5, sqrt(.75)]]
-    factor = cholesky(CorrelationMatrix(2, 0.5))
-    np.testing.assert_allclose(factor, [[1.0, 0.0], [0.5, np.sqrt(0.75)]])
-
-
-def test_cholesky_reconstructs():
-    corr = CorrelationMatrix(5, 0.7)
-    factor = cholesky(corr)
-    np.testing.assert_allclose(factor @ factor.T, corr.entries, atol=1e-12)
-    assert np.allclose(factor, np.tril(factor))
-
-
-def test_cholesky_rejects_indefinite():
-    with pytest.raises(DecompositionError):
-        cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-
-def test_correlated_cgn_covariance_monte_carlo():
-    corr = CorrelationMatrix(3, 0.6)
-    v = sample_correlated_cgn(corr, RngStream(0), count=200_000)
-    emp = (v.conj().T @ v) / v.shape[0]
-    np.testing.assert_allclose(emp.real, corr.entries, atol=0.02)
-    np.testing.assert_allclose(emp.imag, 0.0, atol=0.02)
-    np.testing.assert_allclose(v.mean(axis=0), 0.0, atol=0.01)
-
-
-def test_correlated_cgn_circular_symmetry():
-    # pseudo-covariance E[v v^T] of a circular Gaussian vanishes
-    corr = CorrelationMatrix(3, 0.6)
-    v = sample_correlated_cgn(corr, RngStream(1), count=200_000)
-    pseudo = (v.T @ v) / v.shape[0]
-    np.testing.assert_allclose(np.abs(pseudo), 0.0, atol=0.02)
-
 
 def test_awgn_per_entry_variance():
     noise = sample_awgn(64, 2.5, RngStream(3), count=5000)
@@ -222,7 +165,17 @@ def test_awgn_single_vector_shape():
     assert sample_awgn(16, 1.0, RngStream(3)).shape == (16,)
 
 
-@pytest.mark.parametrize("variance", [0.0, -1.0])
+def test_awgn_variance_sequence_is_one_call_per_variance():
+    sigma2 = (0.5, 1.0, 2.0)
+    gen_a, gen_b = RngStream(4).generator(), RngStream(4).generator()
+    joint = sample_awgn(16, sigma2, gen_a, count=7)
+    assert joint.shape == (3, 7, 16)
+    np.testing.assert_array_equal(
+        joint, np.stack([sample_awgn(16, v, gen_b, count=7) for v in sigma2]))
+    np.testing.assert_array_equal(gen_a.standard_normal(5), gen_b.standard_normal(5))
+
+
+@pytest.mark.parametrize("variance", [0.0, -1.0, float("nan"), (1.0, float("nan"))])
 def test_awgn_rejects_bad_variance(variance):
     with pytest.raises(DomainError):
         sample_awgn(8, variance, RngStream(0))

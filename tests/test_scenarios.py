@@ -57,3 +57,10 @@ def test_make_scenario_defaults_and_validation():
         make_scenario(3, [1.0, 2.0])
     with pytest.raises(DomainError):
         make_scenario(1, [0.0])
+    with pytest.raises(DomainError):
+        make_scenario(2, [1.0, float("nan")])
+    # ChannelConfig checks the tap statistics the scenario declares
+    with pytest.raises(DomainError):
+        make_scenario(2, n_taps=0)
+    with pytest.raises(DomainError):
+        make_scenario(2, rho=1.5)
