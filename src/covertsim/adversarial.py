@@ -30,10 +30,6 @@ from .scenarios import ScenarioPreset
 _CLAMP = 1e-7
 
 
-class ConfigError(ValueError):
-    """Raised on inconsistent training configuration."""
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Transmitter shape: message and latent sizes, slot length, power budget."""
@@ -72,23 +68,23 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.iterations < 1 or self.batch < 1:
-            raise ConfigError("iterations and batch must be >= 1")
+            raise DomainError("iterations and batch must be >= 1")
         if self.loss_mode not in ("standard", "wasserstein"):
-            raise ConfigError(f"unknown loss mode {self.loss_mode!r}")
+            raise DomainError(f"unknown loss mode {self.loss_mode!r}")
         if self.loss_mode == "wasserstein" and self.clip <= 0:
-            raise ConfigError("wasserstein mode needs a positive clip bound")
+            raise DomainError("wasserstein mode needs a positive clip bound")
         if not (0.0 < self.target_pf < 1.0):
-            raise ConfigError(f"target_pf must be in (0,1), got {self.target_pf}")
+            raise DomainError(f"target_pf must be in (0,1), got {self.target_pf}")
         if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+            raise DomainError(f"lr must be > 0, got {self.lr}")
         if self.mu < 0:
-            raise ConfigError(f"mu must be >= 0, got {self.mu}")
+            raise DomainError(f"mu must be >= 0, got {self.mu}")
         if self.disc_warmup < 0:
-            raise ConfigError(f"disc_warmup must be >= 0, got {self.disc_warmup}")
+            raise DomainError(f"disc_warmup must be >= 0, got {self.disc_warmup}")
         if self.snapshot_every < 0:
-            raise ConfigError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
+            raise DomainError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
         if self.snapshot_every and self.snapshot_trials < 1:
-            raise ConfigError("snapshot_trials must be >= 1 while snapshots are on")
+            raise DomainError("snapshot_trials must be >= 1 while snapshots are on")
 
 
 @dataclass
@@ -141,6 +137,10 @@ class System:
         """The wardens' equal weights in the covertness loss."""
         return np.full(self.scenario.k, 1.0 / self.scenario.k)
 
+    def decode(self, y_b: np.ndarray, bob_taps: np.ndarray) -> np.ndarray:
+        """The learned decoder's eval-mode soft bits for Bob's received slots."""
+        return self.decoder.forward(decoder_input(y_b, bob_taps))[0]
+
 
 def snr_db_to_bob_sigma2(power: float, snr_db: float) -> float:
     """SNR at Bob is defined as P / sigma_B^2."""
@@ -159,6 +159,12 @@ def decoder_input(y_b: np.ndarray, bob_taps: np.ndarray) -> np.ndarray:
                            to_reim(bob_taps)], axis=1)
 
 
+def _mlp(dims: list[int], act: str, out_act: str, dropout: float = 0.0) -> list[LayerSpec]:
+    """Layer specs through dims: act and dropout on all but the last, out_act there."""
+    hidden = [LayerSpec(a, b, act, dropout) for a, b in zip(dims[:-2], dims[1:-1])]
+    return [*hidden, LayerSpec(dims[-2], dims[-1], out_act)]
+
+
 def build_system(gen_spec: GeneratorSpec, scenario: ScenarioPreset, rng: RngStream,
                  loss_mode: str = "standard",
                  disc_hidden: tuple[int, ...] = (64, 64, 64),
@@ -166,28 +172,15 @@ def build_system(gen_spec: GeneratorSpec, scenario: ScenarioPreset, rng: RngStre
                  train_snr_db: float = 20.0) -> System:
     """Construct generator, decoder and one discriminator per warden."""
     n2 = 2 * gen_spec.n
-    gen_layers = []
-    dims = [gen_spec.message_bits + gen_spec.noise_dim, *gen_spec.hidden]
-    for a, b in zip(dims, dims[1:]):
-        gen_layers.append(LayerSpec(a, b, "relu", gen_spec.dropout))
-    gen_layers.append(LayerSpec(dims[-1], n2, "linear"))
-    generator = DenseNet(gen_layers, rng.child(1))
-
+    generator = DenseNet(_mlp([gen_spec.message_bits + gen_spec.noise_dim, *gen_spec.hidden, n2],
+                              "relu", "linear", gen_spec.dropout), rng.child(1))
     disc_out = "linear" if loss_mode == "wasserstein" else "sigmoid"
-    ddims = [n2, *disc_hidden]
-    disc_layers = [LayerSpec(a, b, "leaky-relu") for a, b in zip(ddims, ddims[1:])]
-    disc_layers.append(LayerSpec(ddims[-1], 1, disc_out))
+    disc_layers = _mlp([n2, *disc_hidden, 1], "leaky-relu", disc_out)
     wardens = DenseNet.stack([DenseNet(disc_layers, rng.child(10 + i))
                               for i in range(scenario.k)])
-
     # decoder sees y_B plus Bob's (perfect-CSI) tap gains as re/im pairs
-    dec_layers = []
-    cdims = [n2 + 2 * scenario.n_taps, *dec_hidden]
-    for a, b in zip(cdims, cdims[1:]):
-        dec_layers.append(LayerSpec(a, b, "relu"))
-    dec_layers.append(LayerSpec(cdims[-1], gen_spec.message_bits, "tanh"))
-    decoder = DenseNet(dec_layers, rng.child(2))
-
+    decoder = DenseNet(_mlp([n2 + 2 * scenario.n_taps, *dec_hidden, gen_spec.message_bits],
+                            "relu", "tanh"), rng.child(2))
     return System(generator, decoder, wardens, gen_spec, scenario,
                   snr_db_to_bob_sigma2(gen_spec.power, train_snr_db), loss_mode)
 
@@ -234,13 +227,6 @@ def generate_signal(system: System, m: np.ndarray, z: np.ndarray,
     return s, aux
 
 
-def signal_gradient_to_generator(system: System, grad_s: np.ndarray, aux):
-    """Push a gradient w.r.t. the emitted signal back to generator parameters."""
-    cache, s_raw, scale = aux
-    grad_raw = project_power_backward(grad_s, s_raw, scale)
-    return system.generator.backward(cache, to_reim(grad_raw))[0]
-
-
 # ---------------------------------------------------------------------------
 # channel sampling for training batches
 # ---------------------------------------------------------------------------
@@ -254,6 +240,16 @@ def sample_latents(spec: GeneratorSpec, gen: np.random.Generator, count: int):
     """Draw (count, bits) +-1 messages and (count, noise_dim) generator latents."""
     m = sample_messages(spec, gen, count)
     return m, gen.standard_normal((count, spec.noise_dim))
+
+
+def sample_signals(system: System, gen: np.random.Generator, trials: int):
+    """Draw (trials, bits) messages m and their eval-mode (trials, N) signals s:
+    the latents whole, then the generator and power projection in row blocks."""
+    m, z = sample_latents(system.gen_spec, gen, trials)
+    s = np.empty((trials, system.gen_spec.n), dtype=complex)
+    for sl in row_blocks(trials):
+        s[sl] = generate_signal(system, m[sl], z[sl])[0]
+    return m, s
 
 
 def sample_warden_taps(scenario: ScenarioPreset, batch: int,
@@ -319,7 +315,9 @@ def generator_loss(system: System, m, z, warden_taps, warden_noise,
     grad_y_b = propagate(from_reim(gin[:, :n2]), bob_taps)
     grad_s += propagate_adjoint(grad_y_b, bob_taps)
 
-    gen_grads = signal_gradient_to_generator(system, grad_s, aux)
+    cache, s_raw, scale = aux
+    grad_raw = project_power_backward(grad_s, s_raw, scale)
+    gen_grads = system.generator.backward(cache, to_reim(grad_raw))[0]
     loss = covert + mu * mse
     return loss, covert, mse, gen_grads, dec_grads, d1_means.tolist()
 
@@ -378,19 +376,19 @@ def warden_detection(system: System, s: np.ndarray, gen: np.random.Generator,
     return out, csr_from_detections(detected)
 
 
-def decode_ber(system: System, s: np.ndarray, m: np.ndarray, sigma2: float,
-               gen: np.random.Generator) -> float:
-    """Bit error rate of Bob's decoder on s (carrying m) at noise variance sigma2.
+def decode_ber(decode, scenario: ScenarioPreset, s: np.ndarray, m: np.ndarray,
+               sigma2: float, gen: np.random.Generator) -> float:
+    """Bit error rate of a transmitter's decoder on s (carrying m) at Bob's
+    noise variance sigma2; decode(y_b, taps) returns soft or hard bits.
 
     Taps and noise are drawn whole; decoding runs in row blocks.
     """
     trials, n = s.shape
-    taps = sample_bob_taps(system.scenario, trials, gen)
+    taps = sample_bob_taps(scenario, trials, gen)
     noise = sample_awgn(n, sigma2, gen, count=trials)
     errors = 0
     for sl in row_blocks(trials):
-        y_b = propagate(s[sl], taps[sl]) + noise[sl]
-        m_hat = system.decoder.forward(decoder_input(y_b, taps[sl]))[0]
+        m_hat = decode(propagate(s[sl], taps[sl]) + noise[sl], taps[sl])
         errors += int(np.count_nonzero(np.sign(m_hat + 1e-12) != m[sl]))
     return errors / m.size
 
@@ -404,14 +402,13 @@ def snapshot_metrics(system: System, rng: RngStream, trials: int = 512,
     the fraction of H1 cases no warden flags.
     """
     gen = rng.generator()
-    m, z = sample_latents(system.gen_spec, gen, trials)
-    s, _ = generate_signal(system, m, z)
+    m, s = sample_signals(system, gen, trials)
     wardens, csr = warden_detection(system, s, gen, calib, target_pf)
     pd_learned = [w.pd for w in wardens]
     pd_lrt = [w.pd_lrt for w in wardens]
     return {
         "csr": csr,
-        "ber": decode_ber(system, s, m, system.bob_sigma2, gen),
+        "ber": decode_ber(system.decode, system.scenario, s, m, system.bob_sigma2, gen),
         "pd_learned": pd_learned,
         "pf_learned": [w.pf for w in wardens],
         "pd_lrt": pd_lrt,
@@ -486,7 +483,7 @@ def train(cfg: TrainConfig, scenario: ScenarioPreset, rng: RngStream,
                               loss_mode=cfg.loss_mode,
                               train_snr_db=cfg.train_snr_db)
     elif system.loss_mode != cfg.loss_mode:
-        raise ConfigError("system loss mode does not match the training config")
+        raise DomainError("system loss mode does not match the training config")
     gen = rng.child(100).generator()
     log = TrainLog()
 
@@ -579,8 +576,7 @@ def adaptive_warden_loop(system: System, rng: RngStream, period: int = 1000,
     seen: list[np.ndarray] = []  # (K, batch, N) observations, oldest first
     metric = np.zeros(total)
     for it in range(total):
-        m, z = sample_latents(spec, gen, batch)
-        s, _ = generate_signal(system, m, z)
+        _, s = sample_signals(system, gen, batch)
         taps = sample_warden_taps(scen, batch, gen)
         y1 = propagate(s, taps) + sample_awgn(spec.n, scen.warden_sigma2, gen, count=batch)
         seen.append(y1)

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import DomainError, RngStream
+from .numerics import DomainError
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,9 @@ def tap_factor(n_taps: int, rho: float) -> np.ndarray:
     return factor
 
 
-def sample_taps(cfg: ChannelConfig, rng: RngStream | np.random.Generator,
-                count: int) -> np.ndarray:
+def sample_taps(cfg: ChannelConfig, gen: np.random.Generator, count: int) -> np.ndarray:
     """Draw (count, L) tap gains, one row per slot, circularly symmetric
     CN(0, R): unit mean power, real and imaginary parts each of covariance R/2."""
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
     shape = (count, cfg.n_taps)
     white = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
     return (white / np.sqrt(2.0)) @ tap_factor(cfg.n_taps, cfg.rho).T

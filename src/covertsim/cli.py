@@ -16,10 +16,10 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import os
 import sys
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +27,6 @@ import numpy as np
 
 from . import evaluation, scenarios
 from .adversarial import (
-    ConfigError,
     GeneratorSpec,
     System,
     TrainConfig,
@@ -115,7 +114,7 @@ class RunConfig:
                                ("train", self.train_config)):
             try:
                 build()
-            except (DomainError, ConfigError) as exc:
+            except DomainError as exc:
                 raise ValidationError(f"[{section}] {exc}") from None
         if self.n % self.message_bits != 0:
             raise ValidationError("n: must be a multiple of message_bits")
@@ -437,7 +436,7 @@ def _cached_train(store: Path, cfg: TrainConfig, scen: scenarios.ScenarioPreset,
     path = store / f"{hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()}.npz"
     try:
         nets, header = load_checkpoint(path)
-    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, StateError):
+    except (OSError, StateError):
         # a missing or unreadable entry is trained again
         system, log = train(cfg, scen, rng, gen_spec=gen_spec)
         store.mkdir(parents=True, exist_ok=True)
@@ -532,21 +531,25 @@ def cmd_baseline(args) -> int:
 def cmd_report(args) -> int:
     summary = {}
     for path in args.csv:
-        with open(path) as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != CSV_HEADER:
-                print(f"{path}: unexpected header {header}", file=sys.stderr)
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            print(f"{path}: not UTF-8 text: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        reader = csv.reader(io.StringIO(text))
+        header = next(reader, None)
+        if header != CSV_HEADER:
+            print(f"{path}: unexpected header {header}", file=sys.stderr)
+            return EXIT_VALIDATION
+        for row in reader:
+            try:
+                method, scen, k, metric, value, _, _ = row
+                if metric in REPORT_METRICS:
+                    summary.setdefault((scen, method, k), {}).setdefault(
+                        metric, []).append(float(value))
+            except ValueError as exc:
+                print(f"{path}, line {reader.line_num}: malformed row: {exc}", file=sys.stderr)
                 return EXIT_VALIDATION
-            for row in reader:
-                try:
-                    method, scen, k, metric, value, _, _ = row
-                    if metric in REPORT_METRICS:
-                        summary.setdefault((scen, method, k), {}).setdefault(
-                            metric, []).append(float(value))
-                except ValueError as exc:
-                    print(f"{path}, line {reader.line_num}: malformed row: {exc}", file=sys.stderr)
-                    return EXIT_VALIDATION
     out = Path(args.out) / "summary.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:

@@ -21,11 +21,9 @@ from .adversarial import (
     WardenMetrics,
     adaptive_warden_loop,
     decode_ber,
-    generate_signal,
     project_power,
-    sample_bob_taps,
-    sample_latents,
     sample_messages,
+    sample_signals,
     sample_warden_taps,
     snr_db_to_bob_sigma2,
     train,
@@ -65,19 +63,16 @@ class MetricsReport:
 
 
 def measure_detection(system: System, trials: int, rng: RngStream,
-                      target_pf: float = 0.1, calib: int | None = None):
-    """Per-warden (pd, pf) through the learned discriminators plus the
-    genie-LRT per-case bound; returns (list[WardenMetrics], csr, energy).
-    """
+                      target_pf: float = 0.1):
+    """Per-warden (pd, pf) through the learned discriminators, calibrated on
+    max(trials, 10,000) H0 slots, plus the genie-LRT per-case bound; returns
+    (list[WardenMetrics], csr, energy)."""
     if trials < 100:
         raise DomainError(f"need at least 100 trials, got {trials}")
-    if calib is None:
-        calib = max(trials, 10_000)
     gen = rng.generator()
-    m, z = sample_latents(system.gen_spec, gen, trials)
-    s, _ = generate_signal(system, m, z)
+    _, s = sample_signals(system, gen, trials)
     energy = float(np.mean(np.sum(np.abs(s) ** 2, axis=1)))
-    per_warden, csr = warden_detection(system, s, gen, calib, target_pf)
+    per_warden, csr = warden_detection(system, s, gen, max(trials, 10_000), target_pf)
     return per_warden, csr, energy
 
 
@@ -103,9 +98,8 @@ def measure_ber(system: System, snr_grid_db: list[float], trials: int,
     rows = []
     for snr_db in snr_grid_db:
         sigma_b2 = snr_db_to_bob_sigma2(spec.power, snr_db)
-        m, z = sample_latents(spec, gen, trials)
-        s, _ = generate_signal(system, m, z)
-        ber = decode_ber(system, s, m, sigma_b2, gen)
+        m, s = sample_signals(system, gen, trials)
+        ber = decode_ber(system.decode, system.scenario, s, m, sigma_b2, gen)
         rows.append((snr_db, ber, _binom_se(ber, trials * spec.message_bits)))
     return rows
 
@@ -167,14 +161,11 @@ class NoiseInjectionTransmitter:
 
 def noise_injection_ber(tx: NoiseInjectionTransmitter, scenario: ScenarioPreset,
                         snr_db: float, trials: int, rng: RngStream) -> float:
+    """Bob's BER of the baseline at snr_db, through the learned system's kernel."""
     gen = rng.generator()
-    spec = tx.spec
-    sigma_b2 = snr_db_to_bob_sigma2(spec.power, snr_db)
-    m = sample_messages(spec, gen, trials)
-    s = tx.generate(m, gen)
-    taps = sample_bob_taps(scenario, trials, gen)
-    y = propagate(s, taps) + sample_awgn(spec.n, sigma_b2, gen, count=trials)
-    return float(np.mean(tx.decode(y, taps) != m))
+    m = sample_messages(tx.spec, gen, trials)
+    return decode_ber(tx.decode, scenario, tx.generate(m, gen), m,
+                      snr_db_to_bob_sigma2(tx.spec.power, snr_db), gen)
 
 
 def noise_injection_pd_lrt(tx: NoiseInjectionTransmitter, scenario: ScenarioPreset,

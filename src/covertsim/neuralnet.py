@@ -8,6 +8,7 @@ which is what the finite-difference gate checks.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,18 +17,14 @@ from .numerics import DomainError, RngStream
 
 _EPS_CLAMP = 1e-7
 
-# Eval-mode batches run in blocks of _BLOCK rows, so each layer's
-# activations stay cache-sized instead of spanning the whole batch. Block
-# starts are multiples of 512, so every row falls in the same OpenBLAS GEMM
-# row tile as in the whole-batch product and the results are bit-identical;
-# unaligned blocks (255 or 1,023 rows) changed the last bits, and blocks of
-# a few dozen rows take OpenBLAS's small-matrix path. 512 measured faster
-# than 1,024 and 2,048 and about as fast as 256, further from that path.
+# The Monte Carlo kernels that hold a whole draw run it through row_blocks,
+# so each layer's activations stay cache-sized. Block starts are multiples
+# of 512, so every row falls in the same OpenBLAS GEMM row tile as in the
+# whole-batch product and the results are bit-identical; unaligned blocks
+# (255 or 1,023 rows) changed the last bits, and blocks of a few dozen rows
+# take OpenBLAS's small-matrix path. 512 measured faster than 1,024 and
+# 2,048 and about as fast as 256, further from that path.
 _BLOCK = 512
-
-
-class ShapeError(ValueError):
-    """Raised on mismatched tensor shapes."""
 
 
 class StateError(RuntimeError):
@@ -124,7 +121,7 @@ class DenseNet:
         self.specs = list(specs)
         size = sum(s.out_dim * (s.in_dim + 1) for s in specs)
         if params is not None and params.shape[-1] != size:
-            raise ShapeError(f"params length {params.shape[-1]} != param count {size}")
+            raise DomainError(f"params length {params.shape[-1]} != param count {size}")
         self.params = np.zeros(size) if params is None else params
         self.weights, self.biases = self._views(self.params)
         if params is None:
@@ -148,7 +145,7 @@ class DenseNet:
     def stack(cls, nets: list["DenseNet"]) -> "DenseNet":
         """Copy same-shaped nets into the rows of one (K, P) stacked net."""
         if any(net.specs != nets[0].specs for net in nets):
-            raise ShapeError("only nets with identical layer specs can be stacked")
+            raise DomainError("only nets with identical layer specs can be stacked")
         return cls(nets[0].specs, params=np.stack([net.params for net in nets]))
 
     def rows(self) -> list["DenseNet"]:
@@ -172,16 +169,9 @@ class DenseNet:
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[-1] != self.in_dim:
-            raise ShapeError(f"input dim {x.shape[-1]} != expected {self.in_dim}")
+            raise DomainError(f"input dim {x.shape[-1]} != expected {self.in_dim}")
         if train and rng is None and any(s.dropout > 0 for s in self.specs):
             raise StateError("train-mode forward with dropout needs an rng")
-        if not train and x.shape[-2] >= 2 * _BLOCK:
-            # rows are independent and nothing is cached: run row blocks
-            return np.concatenate([self._layers(x[..., sl, :], False, None)[0]
-                                   for sl in row_blocks(x.shape[-2])], axis=-2), None
-        return self._layers(x, train, rng)
-
-    def _layers(self, x: np.ndarray, train: bool, rng: np.random.Generator | None):
         cache = [] if train else None
         h = x
         for spec, w, b in zip(self.specs, self.weights, self.biases):
@@ -232,7 +222,7 @@ class DenseNet:
 
     def set_flat(self, flat: np.ndarray) -> None:
         if flat.size != self.param_count():
-            raise ShapeError(f"flat size {flat.size} != param count {self.param_count()}")
+            raise DomainError(f"flat size {flat.size} != param count {self.param_count()}")
         self.params[...] = flat.reshape(self.params.shape)
 
     @staticmethod
@@ -271,7 +261,7 @@ class AdamState:
     def update(self, params: np.ndarray, grads: np.ndarray) -> None:
         """Take one step on params in place."""
         if params.shape != grads.shape or params.shape != self.m.shape:
-            raise ShapeError("params/grads shape mismatch with Adam state")
+            raise DomainError("params/grads shape mismatch with Adam state")
         self.step_count += 1
         # params -= lr * m_hat / (sqrt(v_hat) + eps), with the operations in
         # that order; two scratch buffers instead of a temporary per operation
@@ -306,7 +296,7 @@ def bce_loss(pred: np.ndarray, label: np.ndarray):
     pred = np.asarray(pred, dtype=float)
     label = np.asarray(label, dtype=float)
     if pred.shape != label.shape:
-        raise ShapeError(f"shape mismatch: pred {pred.shape} vs label {label.shape}")
+        raise DomainError(f"shape mismatch: pred {pred.shape} vs label {label.shape}")
     p = np.clip(pred, _EPS_CLAMP, 1.0 - _EPS_CLAMP)
     loss = float(np.mean(-(label * np.log(p) + (1 - label) * np.log(1 - p))))
     # a mean per leading index: stacked (K, B, 1) predictions are K losses
@@ -320,7 +310,7 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape:
-        raise ShapeError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
+        raise DomainError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
     diff = pred - target
     return float(np.mean(diff ** 2)), 2.0 * diff / diff.size
 
@@ -348,14 +338,17 @@ def save_checkpoint(path, nets: dict[str, DenseNet], extra: dict | None = None):
 
 
 def load_checkpoint(path):
-    """Load a checkpoint; returns (nets, header)."""
-    # np.load leaves its own file open when the archive is unreadable
-    with open(path, "rb") as fh, np.load(fh) as data:
-        header = json.loads(bytes(data["__header__"]).decode())
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise StateError(f"unsupported checkpoint version {header.get('version')}")
-        nets = {}
-        for name, spec_rows in header["nets"].items():
-            specs = [LayerSpec(int(r[0]), int(r[1]), r[2], float(r[3])) for r in spec_rows]
-            nets[name] = DenseNet(specs, params=np.array(data[name], dtype=float))
+    """Load a checkpoint; returns (nets, header). StateError names an unreadable file."""
+    try:
+        # np.load leaves its own file open when the archive is unreadable
+        with open(path, "rb") as fh, np.load(fh) as data:
+            header = json.loads(bytes(data["__header__"]).decode())
+            if header.get("version") != CHECKPOINT_VERSION:
+                raise StateError(f"unsupported checkpoint version {header.get('version')}")
+            nets = {}
+            for name, spec_rows in header["nets"].items():
+                specs = [LayerSpec(int(r[0]), int(r[1]), r[2], float(r[3])) for r in spec_rows]
+                nets[name] = DenseNet(specs, params=np.array(data[name], dtype=float))
+    except (EOFError, ValueError, KeyError, zipfile.BadZipFile, StateError) as exc:
+        raise StateError(f"{path}: not a readable checkpoint: {exc}") from None
     return nets, header

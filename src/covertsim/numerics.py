@@ -99,18 +99,17 @@ def q_inverse(p: float) -> float:
 # white noise
 # ---------------------------------------------------------------------------
 
-def sample_awgn(n: int, variance: float | tuple[float, ...], rng: RngStream | np.random.Generator,
-                count: int | None = None) -> np.ndarray:
-    """I.i.d. circularly symmetric complex noise with per-entry E[|n_k|^2] = variance.
+def sample_awgn(n: int, variance: float | tuple[float, ...], gen: np.random.Generator,
+                count: int) -> np.ndarray:
+    """(count, n) i.i.d. circularly symmetric complex noise, E[|n_k|^2] = variance.
 
-    A sequence of K variances gives (K, ...) noise, drawn as K one-variance
+    A sequence of K variances gives (K, count, n) noise, drawn as K one-variance
     calls in turn: each variance's real part, then its imaginary part.
     """
     var = np.asarray(variance, dtype=float)
     if not np.all(var > 0):
         raise DomainError(f"noise variance must be > 0, got {variance}")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    shape = (n,) if count is None else (count, n)
+    shape = (count, n)
     out = np.empty(var.shape + shape, dtype=complex)
     for v, part in zip(var.reshape(-1), out.reshape(-1, *shape)):
         scale = np.sqrt(v / 2.0)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from covertsim.adversarial import (
     AdamState,
-    ConfigError,
     GeneratorSpec,
     TrainConfig,
     _disc_update,
@@ -20,11 +19,14 @@ from covertsim.adversarial import (
     project_power,
     project_power_backward,
     sample_bob_taps,
+    sample_latents,
+    sample_signals,
     sample_warden_taps,
     snapshot_metrics,
     snr_db_to_bob_sigma2,
     train,
 )
+from covertsim.neuralnet import row_blocks
 from covertsim.numerics import DomainError, RngStream, from_reim, to_reim
 from covertsim.scenarios import get_preset, make_scenario
 
@@ -46,11 +48,11 @@ def test_generator_spec_validation():
 
 
 def test_train_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         TrainConfig(iterations=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         TrainConfig(loss_mode="hinge")
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         TrainConfig(loss_mode="wasserstein", clip=0.0)
 
 
@@ -146,6 +148,26 @@ def test_generated_signals_respect_power():
     z = gen.standard_normal((500, 4))
     s, _ = generate_signal(system, m, z)
     assert np.all(np.sum(np.abs(s) ** 2, axis=1) <= TINY_SPEC.power + 1e-9)
+
+
+def test_sample_signals_match_a_whole_batch_reference():
+    # 1,700 rows make three row blocks, the last of 676 rows;
+    # a dropout generator checks that eval mode draws no masks
+    spec = GeneratorSpec(message_bits=4, noise_dim=4, n=8, power=1.0,
+                         hidden=(16, 16), dropout=0.3)
+    system = build_system(spec, make_scenario(2), RngStream(0))
+    assert len(row_blocks(1700)) == 3
+    gen_a, gen_b = RngStream(5).generator(), RngStream(5).generator()
+    m, s = sample_signals(system, gen_a, 1700)
+    m_ref, z_ref = sample_latents(spec, gen_b, 1700)
+    s_ref, aux = generate_signal(system, m_ref, z_ref)
+    assert aux is None
+    np.testing.assert_array_equal(m, m_ref)
+    np.testing.assert_array_equal(s, s_ref)
+    # the power projection binds on some rows and not on others
+    energy = np.sum(np.abs(s) ** 2, axis=1)
+    assert np.any(np.isclose(energy, spec.power)) and np.any(energy < 0.99 * spec.power)
+    np.testing.assert_array_equal(gen_a.standard_normal(5), gen_b.standard_normal(5))
 
 
 def test_generate_signal_shape_check():
@@ -260,7 +282,7 @@ def test_train_seeds_differ():
 def test_train_system_mode_mismatch():
     system = build_system(TINY_SPEC, make_scenario(1), RngStream(0))
     cfg = TrainConfig(loss_mode="wasserstein", **TINY_CFG)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         train(cfg, make_scenario(1), RngStream(0), system=system)
 
 

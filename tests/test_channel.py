@@ -171,7 +171,7 @@ def test_propagate_adjoint_hand_value():
 
 def test_tap_unit_mean_power_and_correlation():
     cfg = ChannelConfig(n_taps=4, rho=0.5)
-    taps = sample_taps(cfg, RngStream(8), count=200_000)
+    taps = sample_taps(cfg, RngStream(8).generator(), count=200_000)
     power = np.mean(np.abs(taps) ** 2, axis=0)
     np.testing.assert_allclose(power, 1.0, atol=0.02)
     emp = (taps.conj().T @ taps) / taps.shape[0]
@@ -180,7 +180,7 @@ def test_tap_unit_mean_power_and_correlation():
 
 def test_tap_covariance_monte_carlo():
     cfg = ChannelConfig(n_taps=3, rho=0.6)
-    taps = sample_taps(cfg, RngStream(0), count=200_000)
+    taps = sample_taps(cfg, RngStream(0).generator(), count=200_000)
     emp = (taps.conj().T @ taps) / taps.shape[0]
     np.testing.assert_allclose(emp.real, cfg.correlation(), atol=0.02)
     np.testing.assert_allclose(emp.imag, 0.0, atol=0.02)
@@ -189,6 +189,6 @@ def test_tap_covariance_monte_carlo():
 
 def test_taps_are_circularly_symmetric():
     # pseudo-covariance E[h h^T] of a circular Gaussian vanishes
-    taps = sample_taps(ChannelConfig(n_taps=3, rho=0.6), RngStream(1), count=200_000)
+    taps = sample_taps(ChannelConfig(n_taps=3, rho=0.6), RngStream(1).generator(), count=200_000)
     pseudo = (taps.T @ taps) / taps.shape[0]
     np.testing.assert_allclose(np.abs(pseudo), 0.0, atol=0.02)

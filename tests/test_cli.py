@@ -234,6 +234,20 @@ def test_report_refuses_a_malformed_row(tmp_path, capsys, row, code):
         assert f"{path}, line 3: malformed row" in capsys.readouterr().err
 
 
+def test_report_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bin.csv"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["report", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_eval_of_a_file_that_is_no_checkpoint_names_it(tmp_path, capsys):
+    path = tmp_path / "ckpt.npz"
+    path.write_text("method,scenario\n")
+    assert main(["eval", str(path), "--out", str(tmp_path / "runs")]) == EXIT_RUNTIME
+    assert f"{path}: not a readable checkpoint" in capsys.readouterr().err
+
+
 def test_eval_checkpoint_without_config(tmp_path, monkeypatch):
     cfg, path = _tiny_config(tmp_path)
     out = tmp_path / "runs"

@@ -13,6 +13,9 @@ from covertsim.adversarial import (
     TrainConfig,
     build_system,
     csr_from_detections,
+    sample_bob_taps,
+    sample_messages,
+    snr_db_to_bob_sigma2,
     train,
 )
 from covertsim.evaluation import (
@@ -28,7 +31,8 @@ from covertsim.evaluation import (
     single_discriminator_baseline,
 )
 from covertsim.channel import propagate
-from covertsim.numerics import DomainError, RngStream
+from covertsim.neuralnet import row_blocks
+from covertsim.numerics import DomainError, RngStream, sample_awgn
 from covertsim.scenarios import get_preset, make_scenario
 
 TINY_SPEC = GeneratorSpec(message_bits=4, noise_dim=4, n=8, power=4.0,
@@ -64,8 +68,7 @@ def test_csr_all_detected():
 def test_measure_detection_shapes_and_bounds():
     scen = make_scenario(2)
     system = build_system(TINY_SPEC, scen, RngStream(0))
-    per_warden, csr, mean_energy = measure_detection(system, 400, RngStream(1),
-                                                     calib=2000)
+    per_warden, csr, mean_energy = measure_detection(system, 400, RngStream(1))
     assert len(per_warden) == 2
     for w in per_warden:
         assert 0.0 <= w.pd <= 1.0
@@ -165,6 +168,28 @@ def test_noise_injection_ber_improves_with_snr():
     high = noise_injection_ber(tx, scen, 25.0, 3000, RngStream(1))
     assert high < low
     assert high < 0.1  # full-power BPSK with matched-filter CSI decode
+
+
+def _whole_batch_noise_injection_ber(tx, scenario, snr_db, trials, rng):
+    """The baseline's BER with the channel, the noise and the decoder each
+    run on the whole batch, drawing in the kernel's order."""
+    gen = rng.generator()
+    m = sample_messages(tx.spec, gen, trials)
+    s = tx.generate(m, gen)
+    taps = sample_bob_taps(scenario, trials, gen)
+    sigma2 = snr_db_to_bob_sigma2(tx.spec.power, snr_db)
+    y = propagate(s, taps) + sample_awgn(tx.spec.n, sigma2, gen, count=trials)
+    return float(np.mean(tx.decode(y, taps) != m))
+
+
+@pytest.mark.parametrize("preset", ["urban", "6g-dense"])
+def test_noise_injection_ber_over_row_blocks_matches_the_whole_batch(preset):
+    # 2,500 trials make four row blocks, the last of 964 rows
+    assert len(row_blocks(2500)) == 4
+    tx, scen = NoiseInjectionTransmitter(0.5, GeneratorSpec()), get_preset(preset)
+    ber = noise_injection_ber(tx, scen, 5.0, 2500, RngStream(11))
+    assert 0.0 < ber < 0.5
+    assert ber == _whole_batch_noise_injection_ber(tx, scen, 5.0, 2500, RngStream(11))
 
 
 def test_match_noise_injection_prefers_feasible():

@@ -3,6 +3,8 @@ finite-difference gradient oracles, dropout, Adam against a hand-computed
 first step, K-stacked nets against K separate ones, row-blocked eval
 forwards, losses and checkpoint round trips."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from covertsim.neuralnet import (
     AdamState,
     DenseNet,
     LayerSpec,
-    ShapeError,
     StateError,
     adam_step,
     bce_loss,
@@ -60,7 +61,7 @@ def test_glorot_uniform_bound():
 
 def test_forward_shape_check():
     net = _small_net()
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError):
         net.forward(np.zeros((2, 4)))
 
 
@@ -249,7 +250,7 @@ def test_adam_descends_quadratic():
 
 def test_adam_shape_check():
     adam = AdamState(3)
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError):
         adam.update(np.zeros(4), np.zeros(4))
 
 
@@ -344,7 +345,7 @@ def test_stacked_rows_share_the_stack_buffer():
     assert stacked.weights[0][1, 0, 0] == 14.0
     stacked.clip_weights(0.5)
     assert row.weights[0][0, 0] == 0.5
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError):
         DenseNet.stack([_small_net(), DenseNet([LayerSpec(3, 2)], RngStream(0))])
 
 
@@ -358,7 +359,7 @@ def test_weights_are_views_of_params():
 
 
 # ---------------------------------------------------------------------------
-# row-blocked eval forwards
+# row blocks
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
@@ -391,7 +392,8 @@ def _whole_batch_reference(net, x):
 
 @pytest.mark.parametrize("k", [None, 3])
 def test_blocked_eval_forward_matches_whole_batch_reference(k):
-    # 1,700 rows make three blocks, the last with the 164-row remainder
+    # 1,700 rows make three blocks, the last with the 676-row remainder;
+    # eval forwards run block by block, as the Monte Carlo kernels run them
     specs = [LayerSpec(10, 16, "relu", 0.3), LayerSpec(16, 16, "leaky-relu"),
              LayerSpec(16, 8, "tanh"), LayerSpec(8, 1, "sigmoid")]
     gen = np.random.default_rng(4)
@@ -401,8 +403,13 @@ def test_blocked_eval_forward_matches_whole_batch_reference(k):
         net = DenseNet.stack([DenseNet(specs, RngStream(1, i)) for i in range(k)])
         x = gen.standard_normal((k, 1700, 10))
     assert len(row_blocks(1700)) == 3
-    out, cache = net.forward(x)
-    assert cache is None
+    outs = []
+    for sl in row_blocks(1700):
+        out, cache = net.forward(x[..., sl, :])
+        assert cache is None
+        outs.append(out)
+    out = np.concatenate(outs, axis=-2)
+    assert out.shape == x.shape[:-1] + (1,)
     np.testing.assert_allclose(out, _whole_batch_reference(net, x), rtol=1e-12)
 
 
@@ -429,7 +436,7 @@ def test_bce_clamps_extreme_predictions():
 
 
 def test_bce_shape_mismatch():
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError):
         bce_loss(np.zeros((2, 1)), np.zeros((3, 1)))
 
 
@@ -454,7 +461,7 @@ def test_flat_roundtrip():
 
 def test_set_flat_size_check():
     net = _small_net()
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError):
         net.set_flat(np.zeros(3))
 
 
@@ -498,3 +505,19 @@ def test_checkpoint_version_check(tmp_path):
     rewrite(version=99)
     with pytest.raises(StateError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind", ["text", "empty", "no-header"])
+def test_unreadable_checkpoint_is_a_state_error_naming_the_file(tmp_path, kind):
+    path = tmp_path / "ckpt.npz"
+    if kind == "no-header":
+        np.savez(path, gen=_small_net().params)
+    else:
+        path.write_bytes(b"method,scenario\n" if kind == "text" else b"")
+    with pytest.raises(StateError, match=f"^{re.escape(str(path))}: not a readable checkpoint"):
+        load_checkpoint(path)
+
+
+def test_missing_checkpoint_is_an_os_error(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_checkpoint(tmp_path / "absent.npz")
