@@ -18,6 +18,7 @@ from .detection import pd_at_target_pf
 from .neuralnet import (
     AdamState,
     DenseNet,
+    Lane,
     LayerSpec,
     adam_step,
     bce_loss,
@@ -242,13 +243,19 @@ def sample_latents(spec: GeneratorSpec, gen: np.random.Generator, count: int):
     return m, gen.standard_normal((count, spec.noise_dim))
 
 
-def sample_signals(system: System, gen: np.random.Generator, trials: int):
+def sample_signals(system: System, gen: np.random.Generator, trials: int, *, lane: Lane):
     """Draw (trials, bits) messages m and their eval-mode (trials, N) signals s:
-    the latents whole, then the generator and power projection in row blocks."""
+    the latents whole on this thread, then the generator and power projection
+    in row blocks as a step on lane. s is filled only when that step is done:
+    read it after ``lane.wait()``, or in a later step on the same lane."""
     m, z = sample_latents(system.gen_spec, gen, trials)
     s = np.empty((trials, system.gen_spec.n), dtype=complex)
-    for sl in row_blocks(trials):
-        s[sl] = generate_signal(system, m[sl], z[sl])[0]
+
+    def generate():
+        for sl in row_blocks(trials):
+            s[sl] = generate_signal(system, m[sl], z[sl])[0]
+
+    lane.run(generate)
     return m, s
 
 
@@ -340,75 +347,101 @@ def csr_from_detections(detected: np.ndarray) -> float:
     return float(np.mean(~np.any(detected, axis=0)))
 
 
+def _detect_h1(disc: DenseNet, s: np.ndarray, taps: np.ndarray, noise: np.ndarray,
+               out: np.ndarray, ex: np.ndarray) -> None:
+    """One warden's H1 block loop: received energies into ex, verdicts into out."""
+    for sl in row_blocks(len(s)):
+        x1 = propagate(s[sl], taps[sl])
+        ex[sl] = np.sum(np.abs(x1) ** 2, axis=1)
+        out[sl] = disc.forward(to_reim(x1 + noise[sl]))[0][:, 0]
+
+
+def _detect_h0(disc: DenseNet, y0: np.ndarray, out: np.ndarray) -> None:
+    """One warden's H0 block loop: verdicts on the calibration slots into out."""
+    for sl in row_blocks(len(y0)):
+        out[sl] = disc.forward(to_reim(y0[sl]))[0][:, 0]
+
+
 def warden_detection(system: System, s: np.ndarray, gen: np.random.Generator,
-                     calib: int, target_pf: float = 0.1):
+                     calib: int, target_pf: float = 0.1, *, lane: Lane):
     """Per-warden detection of the signal batch s; returns (list[WardenMetrics], csr).
 
     Each learned discriminator is thresholded at the target false-alarm
     rate on calib fresh H0 slots; pd_lrt is the genie-LRT bound on the
     same H1 cases. Taps, H1 noise and H0 noise are drawn whole from gen in
     that order, warden by warden; the channel, the energies and the forwards
-    then run in row blocks, so no per-layer activation spans the batch. The
-    wardens run one at a time: stacking the calib-row H0 sets would multiply
-    the peak memory by K.
+    run in row blocks on lane, each warden's H1 loop while its H0 noise is
+    drawn and its H0 loop while the next warden's H1 noise is, so no
+    per-layer activation spans the batch. The wardens run one at a time:
+    stacking the calib-row H0 sets would multiply the peak memory by K.
     """
     scen = system.scenario
     trials, n = s.shape
     taps = sample_warden_taps(scen, trials, gen)
-    detected = np.zeros((scen.k, trials), dtype=bool)
-    out = []
+    out1, ex = np.empty((scen.k, trials)), np.empty((scen.k, trials))
+    out0 = np.empty((scen.k, calib))
     for i, disc in enumerate(system.discriminators):
         sigma2 = scen.warden_sigma2[i]
-        noise1 = sample_awgn(n, sigma2, gen, count=trials)
-        y0 = sample_awgn(n, sigma2, gen, count=calib)
-        out1, ex, out0 = np.empty(trials), np.empty(trials), np.empty(calib)
-        for sl in row_blocks(trials):
-            x1 = propagate(s[sl], taps[i, sl])
-            ex[sl] = np.sum(np.abs(x1) ** 2, axis=1)
-            out1[sl] = disc.forward(to_reim(x1 + noise1[sl]))[0][:, 0]
-        for sl in row_blocks(calib):
-            out0[sl] = disc.forward(to_reim(y0[sl]))[0][:, 0]
-        thr = np.quantile(out0, target_pf)
-        detected[i] = out1 < thr
+        # no name holds a draw, so each is freed when its step ends: the
+        # drawn arrays alive are the one in flight and the one being drawn
+        lane.run(_detect_h1, disc, s, taps[i], sample_awgn(n, sigma2, gen, count=trials),
+                 out1[i], ex[i])
+        lane.run(_detect_h0, disc, sample_awgn(n, sigma2, gen, count=calib), out0[i])
+    lane.wait()
+    detected = np.zeros((scen.k, trials), dtype=bool)
+    out = []
+    for i, sigma2 in enumerate(scen.warden_sigma2):
+        thr = np.quantile(out0[i], target_pf)
+        detected[i] = out1[i] < thr
         out.append(WardenMetrics(pd=float(np.mean(detected[i])),
-                                 pf=float(np.mean(out0 < thr)),
-                                 pd_lrt=float(np.mean(pd_at_target_pf(ex, sigma2, target_pf)))))
+                                 pf=float(np.mean(out0[i] < thr)),
+                                 pd_lrt=float(np.mean(pd_at_target_pf(ex[i], sigma2,
+                                                                      target_pf)))))
     return out, csr_from_detections(detected)
 
 
 def decode_ber(decode, scenario: ScenarioPreset, s: np.ndarray, m: np.ndarray,
-               sigma2: float, gen: np.random.Generator) -> float:
+               sigma2: float, gen: np.random.Generator, *, lane: Lane) -> float:
     """Bit error rate of a transmitter's decoder on s (carrying m) at Bob's
     noise variance sigma2; decode(y_b, taps) returns soft or hard bits.
 
-    Taps and noise are drawn whole; decoding runs in row blocks.
+    Taps and noise are drawn whole on this thread; decoding runs in row
+    blocks on lane.
     """
     trials, n = s.shape
     taps = sample_bob_taps(scenario, trials, gen)
     noise = sample_awgn(n, sigma2, gen, count=trials)
-    errors = 0
-    for sl in row_blocks(trials):
-        m_hat = decode(propagate(s[sl], taps[sl]) + noise[sl], taps[sl])
-        errors += int(np.count_nonzero(np.sign(m_hat + 1e-12) != m[sl]))
-    return errors / m.size
+    errors = np.zeros(1, dtype=np.int64)
+
+    def count_errors():
+        for sl in row_blocks(trials):
+            m_hat = decode(propagate(s[sl], taps[sl]) + noise[sl], taps[sl])
+            errors[0] += np.count_nonzero(np.sign(m_hat + 1e-12) != m[sl])
+
+    lane.run(count_errors)
+    lane.wait()
+    return int(errors[0]) / m.size
 
 
 def snapshot_metrics(system: System, rng: RngStream, trials: int = 512,
-                     calib: int = 2000, target_pf: float = 0.1) -> dict:
+                     target_pf: float = 0.1) -> dict:
     """Quick eval-mode metrics: learned-warden pd/CSR, genie pd, BER.
 
     Learned-warden decisions come from per-discriminator thresholds
-    calibrated on fresh H0 samples at the target false-alarm rate; CSR is
-    the fraction of H1 cases no warden flags.
+    calibrated on 2,000 fresh H0 samples at the target false-alarm rate;
+    CSR is the fraction of H1 cases no warden flags.
     """
     gen = rng.generator()
-    m, s = sample_signals(system, gen, trials)
-    wardens, csr = warden_detection(system, s, gen, calib, target_pf)
+    with Lane() as lane:
+        m, s = sample_signals(system, gen, trials, lane=lane)
+        wardens, csr = warden_detection(system, s, gen, 2000, target_pf, lane=lane)
+        ber = decode_ber(system.decode, system.scenario, s, m, system.bob_sigma2, gen,
+                         lane=lane)
     pd_learned = [w.pd for w in wardens]
     pd_lrt = [w.pd_lrt for w in wardens]
     return {
         "csr": csr,
-        "ber": decode_ber(system.decode, system.scenario, s, m, system.bob_sigma2, gen),
+        "ber": ber,
         "pd_learned": pd_learned,
         "pf_learned": [w.pf for w in wardens],
         "pd_lrt": pd_lrt,
@@ -576,7 +609,8 @@ def adaptive_warden_loop(system: System, rng: RngStream, period: int = 1000,
     seen: list[np.ndarray] = []  # (K, batch, N) observations, oldest first
     metric = np.zeros(total)
     for it in range(total):
-        _, s = sample_signals(system, gen, batch)
+        m, z = sample_latents(spec, gen, batch)
+        s, _ = generate_signal(system, m, z)
         taps = sample_warden_taps(scen, batch, gen)
         y1 = propagate(s, taps) + sample_awgn(spec.n, scen.warden_sigma2, gen, count=batch)
         seen.append(y1)

@@ -31,7 +31,7 @@ from .adversarial import (
 )
 from .channel import propagate, propagate_adjoint
 from .detection import pd_at_target_pf
-from .neuralnet import DenseNet, row_blocks
+from .neuralnet import DenseNet, Lane, row_blocks
 from .numerics import DomainError, RngStream, sample_awgn
 from .scenarios import ScenarioPreset
 
@@ -70,9 +70,11 @@ def measure_detection(system: System, trials: int, rng: RngStream,
     if trials < 100:
         raise DomainError(f"need at least 100 trials, got {trials}")
     gen = rng.generator()
-    _, s = sample_signals(system, gen, trials)
+    with Lane() as lane:
+        _, s = sample_signals(system, gen, trials, lane=lane)
+        per_warden, csr = warden_detection(system, s, gen, max(trials, 10_000), target_pf,
+                                           lane=lane)
     energy = float(np.mean(np.sum(np.abs(s) ** 2, axis=1)))
-    per_warden, csr = warden_detection(system, s, gen, max(trials, 10_000), target_pf)
     return per_warden, csr, energy
 
 
@@ -96,11 +98,12 @@ def measure_ber(system: System, snr_grid_db: list[float], trials: int,
     gen = rng.generator()
     spec = system.gen_spec
     rows = []
-    for snr_db in snr_grid_db:
-        sigma_b2 = snr_db_to_bob_sigma2(spec.power, snr_db)
-        m, s = sample_signals(system, gen, trials)
-        ber = decode_ber(system.decode, system.scenario, s, m, sigma_b2, gen)
-        rows.append((snr_db, ber, _binom_se(ber, trials * spec.message_bits)))
+    with Lane() as lane:
+        for snr_db in snr_grid_db:
+            sigma_b2 = snr_db_to_bob_sigma2(spec.power, snr_db)
+            m, s = sample_signals(system, gen, trials, lane=lane)
+            ber = decode_ber(system.decode, system.scenario, s, m, sigma_b2, gen, lane=lane)
+            rows.append((snr_db, ber, _binom_se(ber, trials * spec.message_bits)))
     return rows
 
 
@@ -164,8 +167,9 @@ def noise_injection_ber(tx: NoiseInjectionTransmitter, scenario: ScenarioPreset,
     """Bob's BER of the baseline at snr_db, through the learned system's kernel."""
     gen = rng.generator()
     m = sample_messages(tx.spec, gen, trials)
-    return decode_ber(tx.decode, scenario, tx.generate(m, gen), m,
-                      snr_db_to_bob_sigma2(tx.spec.power, snr_db), gen)
+    with Lane() as lane:
+        return decode_ber(tx.decode, scenario, tx.generate(m, gen), m,
+                          snr_db_to_bob_sigma2(tx.spec.power, snr_db), gen, lane=lane)
 
 
 def noise_injection_pd_lrt(tx: NoiseInjectionTransmitter, scenario: ScenarioPreset,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import zipfile
+from concurrent.futures.thread import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,6 +103,43 @@ def row_blocks(rows: int) -> list[slice]:
     _BLOCK rows, and fewer than 2 * _BLOCK rows make a single block."""
     bounds = [i * _BLOCK for i in range(max(rows // _BLOCK, 1))] + [rows]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+class Lane:
+    """One helper thread that runs a Monte Carlo kernel's block loops while
+    the calling thread makes the next random draw.
+
+    Steps run one at a time, first in, first out, so a step may read what an
+    earlier step wrote. ``run`` waits for the step in flight before queuing
+    the next, so at most one step runs beside the caller. A step's exception
+    is raised by the next ``run``, ``wait`` or clean exit. Leaving the block
+    always joins the thread. The draws stay on the caller, in their order,
+    and a one-thread BLAS product gives the same bits on either thread, so
+    every result equals a serial run's.
+    """
+
+    def __enter__(self) -> "Lane":
+        self._pool = ThreadPoolExecutor(1)
+        self._pending = None
+        return self
+
+    def run(self, step, *args) -> None:
+        """Wait for the step in flight, then start step(*args) on the helper."""
+        self.wait()
+        self._pending = self._pool.submit(step, *args)
+
+    def wait(self) -> None:
+        """Wait for the step in flight, raising its exception."""
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            pending.result()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None:
+                self.wait()
+        finally:
+            self._pool.shutdown(wait=True)
 
 
 class DenseNet:

@@ -111,8 +111,13 @@ def sample_awgn(n: int, variance: float | tuple[float, ...], gen: np.random.Gene
         raise DomainError(f"noise variance must be > 0, got {variance}")
     shape = (count, n)
     out = np.empty(var.shape + shape, dtype=complex)
+    # one reused buffer, scaled in place: the same draws and products as
+    # scale * gen.standard_normal(shape) without a fresh array per part
+    draw = np.empty(shape)
     for v, part in zip(var.reshape(-1), out.reshape(-1, *shape)):
         scale = np.sqrt(v / 2.0)
-        part.real = scale * gen.standard_normal(shape)
-        part.imag = scale * gen.standard_normal(shape)
+        for half in (part.real, part.imag):
+            gen.standard_normal(out=draw)
+            draw *= scale
+            half[...] = draw
     return out

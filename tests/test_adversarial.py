@@ -1,6 +1,7 @@
 """Tests for adversarial training: power projection and its adjoint,
-full-chain gradients through the channel, the alternating loop, the
-wasserstein variant and the adaptive warden loop."""
+full-chain gradients through the channel, the Monte Carlo kernels
+against a serial run, the alternating loop, the wasserstein variant and
+the adaptive warden loop."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from covertsim.adversarial import (
     _disc_update,
     adaptive_warden_loop,
     build_system,
+    decode_ber,
     generate_signal,
     generator_loss,
     project_power,
@@ -25,9 +27,12 @@ from covertsim.adversarial import (
     snapshot_metrics,
     snr_db_to_bob_sigma2,
     train,
+    warden_detection,
 )
-from covertsim.neuralnet import row_blocks
-from covertsim.numerics import DomainError, RngStream, from_reim, to_reim
+from covertsim.channel import propagate
+from covertsim.detection import pd_at_target_pf
+from covertsim.neuralnet import Lane, row_blocks
+from covertsim.numerics import DomainError, RngStream, from_reim, sample_awgn, to_reim
 from covertsim.scenarios import get_preset, make_scenario
 
 TINY_SPEC = GeneratorSpec(message_bits=4, noise_dim=4, n=8, power=4.0,
@@ -158,7 +163,8 @@ def test_sample_signals_match_a_whole_batch_reference():
     system = build_system(spec, make_scenario(2), RngStream(0))
     assert len(row_blocks(1700)) == 3
     gen_a, gen_b = RngStream(5).generator(), RngStream(5).generator()
-    m, s = sample_signals(system, gen_a, 1700)
+    with Lane() as lane:
+        m, s = sample_signals(system, gen_a, 1700, lane=lane)
     m_ref, z_ref = sample_latents(spec, gen_b, 1700)
     s_ref, aux = generate_signal(system, m_ref, z_ref)
     assert aux is None
@@ -168,6 +174,64 @@ def test_sample_signals_match_a_whole_batch_reference():
     energy = np.sum(np.abs(s) ** 2, axis=1)
     assert np.any(np.isclose(energy, spec.power)) and np.any(energy < 0.99 * spec.power)
     np.testing.assert_array_equal(gen_a.standard_normal(5), gen_b.standard_normal(5))
+
+
+def _serial_warden_detection(system, s, gen, calib, target_pf):
+    """warden_detection as one thread runs it: every draw, then its block loops."""
+    scen = system.scenario
+    trials, n = s.shape
+    taps = sample_warden_taps(scen, trials, gen)
+    detected = np.zeros((scen.k, trials), dtype=bool)
+    out = []
+    for i, disc in enumerate(system.discriminators):
+        sigma2 = scen.warden_sigma2[i]
+        noise1 = sample_awgn(n, sigma2, gen, count=trials)
+        y0 = sample_awgn(n, sigma2, gen, count=calib)
+        out1, ex, out0 = np.empty(trials), np.empty(trials), np.empty(calib)
+        for sl in row_blocks(trials):
+            x1 = propagate(s[sl], taps[i, sl])
+            ex[sl] = np.sum(np.abs(x1) ** 2, axis=1)
+            out1[sl] = disc.forward(to_reim(x1 + noise1[sl]))[0][:, 0]
+        for sl in row_blocks(calib):
+            out0[sl] = disc.forward(to_reim(y0[sl]))[0][:, 0]
+        thr = np.quantile(out0, target_pf)
+        detected[i] = out1 < thr
+        out.append((float(np.mean(detected[i])), float(np.mean(out0 < thr)),
+                    float(np.mean(pd_at_target_pf(ex, sigma2, target_pf)))))
+    return out, float(np.mean(~np.any(detected, axis=0)))
+
+
+def _serial_decode_ber(decode, scenario, s, m, sigma2, gen):
+    trials, n = s.shape
+    taps = sample_bob_taps(scenario, trials, gen)
+    noise = sample_awgn(n, sigma2, gen, count=trials)
+    errors = 0
+    for sl in row_blocks(trials):
+        m_hat = decode(propagate(s[sl], taps[sl]) + noise[sl], taps[sl])
+        errors += int(np.count_nonzero(np.sign(m_hat + 1e-12) != m[sl]))
+    return errors / m.size
+
+
+@pytest.mark.parametrize("preset", ["urban", "6g-dense"])
+@pytest.mark.parametrize("trials", [300, 1700, 2049])
+def test_lane_kernels_equal_a_serial_run(preset, trials):
+    # one, three and four row blocks; 6g-dense has five correlated wardens
+    scen = get_preset(preset)
+    system = build_system(GeneratorSpec(), scen, RngStream(0))
+    gen_a, gen_b = RngStream(9, trials).generator(), RngStream(9, trials).generator()
+    with Lane() as lane:
+        m, s = sample_signals(system, gen_a, trials, lane=lane)
+        wardens, csr = warden_detection(system, s, gen_a, 2500, 0.1, lane=lane)
+        ber = decode_ber(system.decode, scen, s, m, system.bob_sigma2, gen_a, lane=lane)
+    m_ref, z_ref = sample_latents(system.gen_spec, gen_b, trials)
+    s_ref = np.concatenate([generate_signal(system, m_ref[sl], z_ref[sl])[0]
+                            for sl in row_blocks(trials)])
+    ref, csr_ref = _serial_warden_detection(system, s_ref, gen_b, 2500, 0.1)
+    ber_ref = _serial_decode_ber(system.decode, scen, s_ref, m_ref, system.bob_sigma2, gen_b)
+    assert np.array_equal(m, m_ref) and np.array_equal(s, s_ref)
+    assert [(w.pd, w.pf, w.pd_lrt) for w in wardens] == ref
+    assert csr == csr_ref and ber == ber_ref
+    assert np.array_equal(gen_a.standard_normal(5), gen_b.standard_normal(5))
 
 
 def test_generate_signal_shape_check():
@@ -324,7 +388,7 @@ def test_disc_update_returns_the_warden_objective(loss_mode):
 
 def test_snapshot_metrics_fields():
     system = build_system(TINY_SPEC, make_scenario(2), RngStream(0))
-    snap = snapshot_metrics(system, RngStream(1), trials=128, calib=500)
+    snap = snapshot_metrics(system, RngStream(1), trials=128)
     for key in ("csr", "ber", "pd_learned", "pf_learned", "pd_lrt",
                 "mean_signal_energy"):
         assert key in snap

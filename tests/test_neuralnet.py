@@ -1,18 +1,24 @@
 """Tests for the dense network stack: activations, initialization,
 finite-difference gradient oracles, dropout, Adam against a hand-computed
 first step, K-stacked nets against K separate ones, row-blocked eval
-forwards, losses and checkpoint round trips."""
+forwards, the evaluation lane, losses and checkpoint round trips."""
 
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covertsim import cli
+from covertsim.adversarial import GeneratorSpec, build_system
+from covertsim.evaluation import evaluate_system
 from covertsim.neuralnet import (
     AdamState,
     DenseNet,
+    Lane,
     LayerSpec,
     StateError,
     adam_step,
@@ -24,6 +30,7 @@ from covertsim.neuralnet import (
     save_checkpoint,
 )
 from covertsim.numerics import DomainError, RngStream
+from covertsim.scenarios import make_scenario
 
 
 def _small_net(dropout=0.0, out_act="linear"):
@@ -411,6 +418,94 @@ def test_blocked_eval_forward_matches_whole_batch_reference(k):
     out = np.concatenate(outs, axis=-2)
     assert out.shape == x.shape[:-1] + (1,)
     np.testing.assert_allclose(out, _whole_batch_reference(net, x), rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the evaluation lane
+# ---------------------------------------------------------------------------
+
+def _fail(message):
+    raise ValueError(message)
+
+
+def test_lane_runs_one_step_at_a_time_in_order():
+    done = []
+
+    def step(i):
+        time.sleep(0.01)
+        done.append(i)
+
+    with Lane() as lane:
+        for i in range(5):
+            lane.run(step, i)
+            # run returned only after every earlier step finished
+            assert done == list(range(i))
+    assert done == list(range(5))
+
+
+def test_lane_raises_a_failed_step_at_the_next_run():
+    done = []
+    with Lane() as lane:
+        lane.run(_fail, "at run")
+        with pytest.raises(ValueError, match="at run"):
+            lane.run(done.append, 1)
+        # the error is raised once, and the refused step never ran
+        lane.wait()
+    assert done == []
+
+
+def test_lane_raises_a_failed_step_at_wait():
+    with Lane() as lane:
+        lane.run(_fail, "at wait")
+        with pytest.raises(ValueError, match="at wait"):
+            lane.wait()
+        lane.wait()
+
+
+def test_lane_raises_a_failed_step_at_exit():
+    with pytest.raises(ValueError, match="at exit"):
+        with Lane() as lane:
+            lane.run(_fail, "at exit")
+
+
+def test_lane_joins_its_thread_on_every_exit():
+    start = threading.active_count()
+    done = []
+
+    def step():
+        time.sleep(0.05)
+        done.append(True)
+
+    with Lane() as lane:
+        lane.run(step)
+        assert threading.active_count() == start + 1
+    assert done == [True] and threading.active_count() == start
+    # the caller's own error propagates after the step in flight finished
+    with pytest.raises(KeyError):
+        with Lane() as lane:
+            lane.run(step)
+            raise KeyError("caller")
+    assert done == [True, True] and threading.active_count() == start
+    with pytest.raises(KeyError):
+        with Lane() as lane:
+            lane.run(_fail, "hidden by the caller's error")
+            time.sleep(0.01)
+            raise KeyError("caller")
+    assert threading.active_count() == start
+
+
+def _tiny_report(seed):
+    spec = GeneratorSpec(message_bits=4, noise_dim=4, n=8, power=4.0, hidden=(16, 16))
+    system = build_system(spec, make_scenario(2), RngStream(0))
+    return evaluate_system(system, 300, RngStream(seed))
+
+
+def test_forked_sweep_workers_after_an_evaluation_match_this_process():
+    # the evaluation's lane threads are joined, so forking after it is safe
+    start = threading.active_count()
+    here = [_tiny_report(seed) for seed in (0, 1)]
+    assert threading.active_count() == start
+    assert cli._map_seeds(_tiny_report, [0, 1]) == here
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,23 @@ def test_awgn_variance_sequence_is_one_call_per_variance():
     np.testing.assert_array_equal(gen_a.standard_normal(5), gen_b.standard_normal(5))
 
 
+@pytest.mark.parametrize("variance", [2.5, (0.5, 1.0, 2.0)])
+def test_awgn_equals_a_fresh_scaled_draw_per_part(variance):
+    # the reference draws a fresh array per part and scales it out of place
+    gen_a, gen_b = RngStream(6).generator(), RngStream(6).generator()
+    noise = sample_awgn(32, variance, gen_a, count=300)
+    ref = []
+    for v in np.atleast_1d(variance):
+        scale = np.sqrt(v / 2.0)
+        part = np.empty((300, 32), dtype=complex)
+        part.real = scale * gen_b.standard_normal((300, 32))
+        part.imag = scale * gen_b.standard_normal((300, 32))
+        ref.append(part)
+    ref = np.stack(ref).reshape(noise.shape)
+    assert np.array_equal(noise, ref)
+    assert np.array_equal(gen_a.standard_normal(5), gen_b.standard_normal(5))
+
+
 @pytest.mark.parametrize("variance", [0.0, -1.0, float("nan"), (1.0, float("nan"))])
 def test_awgn_rejects_bad_variance(variance):
     with pytest.raises(DomainError):
