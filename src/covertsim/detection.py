@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .channel import ChannelConfig, propagate, sample_taps
 from .neuralnet import row_blocks
@@ -80,9 +79,7 @@ def pd_at_target_pf(x_energy, sigma2, target_pf: float):
     arr = np.asarray(x_energy, dtype=float)
     if np.any(arr < 0) or np.any(np.asarray(sigma2) <= 0):
         raise DomainError("x_energy must be >= 0 and sigma2 > 0")
-    arg = q_inverse(target_pf) - np.sqrt(2.0 * arr / sigma2)
-    pd = 0.5 * special.erfc(arg / np.sqrt(2.0))
-    return float(pd) if np.isscalar(x_energy) else pd
+    return q_function(q_inverse(target_pf) - np.sqrt(2.0 * arr / sigma2))
 
 
 def kl_covertness(s: np.ndarray, tap_powers: np.ndarray, sigma2: float) -> float:

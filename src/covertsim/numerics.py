@@ -8,10 +8,11 @@ first) is provided by :func:`to_reim` / :func:`from_reim`.
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 
 class DomainError(ValueError):
@@ -79,12 +80,17 @@ class RngStream:
 # Q-function
 # ---------------------------------------------------------------------------
 
-def q_function(x: float) -> float:
-    """Gaussian upper-tail probability P(Z > x) for standard normal Z."""
-    x = float(x)
-    if not np.isfinite(x):
+def q_function(x):
+    """Gaussian upper-tail probability P(Z > x) for standard normal Z.
+
+    A scalar gives a float; an array gives an array of its shape.
+    """
+    a = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(a)):
         raise DomainError(f"q_function requires finite input, got {x}")
-    return float(0.5 * special.erfc(x / np.sqrt(2.0)))
+    # numpy has no erfc, so the standard library's maps over the values: 1-2 ms per 20k
+    q = 0.5 * np.fromiter(map(math.erfc, (a / math.sqrt(2.0)).ravel().tolist()), float, a.size)
+    return float(q[0]) if a.ndim == 0 else q.reshape(a.shape)
 
 
 def q_inverse(p: float) -> float:
@@ -92,7 +98,7 @@ def q_inverse(p: float) -> float:
     p = float(p)
     if not (0.0 < p < 1.0):
         raise DomainError(f"q_inverse requires p in (0,1), got {p}")
-    return float(np.sqrt(2.0) * special.erfcinv(2.0 * p))
+    return -statistics.NormalDist().inv_cdf(p)
 
 
 # ---------------------------------------------------------------------------

@@ -508,6 +508,58 @@ def test_a_readable_entry_with_a_bad_log_fails_loudly(tmp_path, monkeypatch):
     assert len(calls) == 1 and list(tmp_path.iterdir()) == [entry]
 
 
+def test_a_sweep_prunes_only_the_entries_of_another_source_or_numpy(tmp_path, monkeypatch):
+    _, path = _tiny_config(tmp_path)
+    out = tmp_path / "runs"
+    args = ["sweep", "csr-vs-epochs", "--config", str(path), "--out", str(out)]
+    assert main(args) == EXIT_OK
+    current, = (out / "trained").iterdir()
+    nets, header = neuralnet.load_checkpoint(current)
+    for name, changed in (("a" * 64, {"source": "0" * 64}), ("b" * 64, {"numpy": "1.0.0"})):
+        key = {**header["extra"]["key"], **changed}
+        neuralnet.save_checkpoint(out / "trained" / f"{name}.npz", nets,
+                                  extra={**header["extra"], "key": key})
+    # a concurrent save's temporary and a file that is no entry stay
+    kept = {current.name, f"{'a' * 64}.123.npz", "notes.npz"}
+    for name in kept - {current.name}:
+        (out / "trained" / name).write_bytes((out / "trained" / f"{'a' * 64}.npz").read_bytes())
+    calls = _count_trainings(monkeypatch)
+    assert main(args) == EXIT_OK
+    assert calls == [] and {p.name for p in (out / "trained").iterdir()} == kept
+
+
+# run as a fresh interpreter in which every scipy import, a lazy one too, fails
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from covertsim import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mod is not None)
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    cfg, path = _tiny_config(tmp_path)
+    out = tmp_path / "runs"
+    tag = f"{cfg.digest()}_s{cfg.seed}"
+    commands = [
+        ["train", "--config", str(path), "--out", str(out)],
+        ["eval", str(out / f"ckpt_{tag}.npz"), "--out", str(out)],
+        # two seeds, so the forked workers run too
+        ["sweep", "csr-vs-epochs", "--config", str(path), "--seeds", "0,1", "--out", str(out)],
+        ["baseline", "noise-injection", "--config", str(path), "--out", str(out)],
+        ["report", str(out / f"metrics_{tag}.csv"),
+         str(out / f"baseline_noise-injection_{tag}.csv"), "--out", str(out)],
+    ]
+    src = str(Path(covertsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(commands)],
+                          env=env, check=True, capture_output=True, text=True, timeout=300)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [EXIT_OK] * len(commands), "scipy": []}, done.stderr
+
+
 def _stored_training(tmp_path):
     _, path = _tiny_config(tmp_path)
     out = tmp_path / "runs"

@@ -1,11 +1,11 @@
 """Tests for the numerics layer: complex helpers, Q-function against a
-quadrature oracle, RNG streams and complex white Gaussian noise."""
+quadrature oracle and scipy.special, RNG streams and complex white Gaussian noise."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from covertsim.numerics import (
     DomainError,
@@ -113,6 +113,35 @@ def test_q_roundtrip(p):
 def test_q_inverse_domain(p):
     with pytest.raises(DomainError):
         q_inverse(p)
+
+
+def test_q_function_matches_scipy_erfc():
+    x = np.linspace(-8.0, 8.0, 20_001)
+    np.testing.assert_allclose(q_function(x), 0.5 * special.erfc(x / np.sqrt(2.0)),
+                               rtol=1e-14, atol=0.0)
+
+
+def test_q_inverse_matches_scipy_erfcinv():
+    p = np.logspace(-12.0, np.log10(1.0 - 1e-6), 2_001)
+    np.testing.assert_allclose([q_inverse(v) for v in p],
+                               np.sqrt(2.0) * special.erfcinv(2.0 * p), rtol=1e-14, atol=0.0)
+
+
+def test_q_function_keeps_the_input_shape():
+    assert type(q_function(1.0)) is float
+    assert type(q_function(np.float64(-0.5))) is float
+    x = np.arange(-6.0, 6.0).reshape(3, 4)
+    q = q_function(x)
+    assert isinstance(q, np.ndarray) and q.shape == (3, 4)
+    assert q.tolist() == [[q_function(v) for v in row] for row in x.tolist()]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_q_function_rejects_an_array_holding_non_finite(bad):
+    x = np.zeros((2, 5))
+    x[1, 3] = bad
+    with pytest.raises(DomainError):
+        q_function(x)
 
 
 # ---------------------------------------------------------------------------
