@@ -23,7 +23,6 @@ from .adversarial import (
     decode_ber,
     project_power,
     sample_messages,
-    sample_signals,
     sample_warden_taps,
     snr_db_to_bob_sigma2,
     train,
@@ -69,13 +68,9 @@ def measure_detection(system: System, trials: int, rng: RngStream,
     (list[WardenMetrics], csr, energy)."""
     if trials < 100:
         raise DomainError(f"need at least 100 trials, got {trials}")
-    gen = rng.generator()
     with Lane() as lane:
-        _, s = sample_signals(system, gen, trials, lane=lane)
-        per_warden, csr = warden_detection(system, s, gen, max(trials, 10_000), target_pf,
-                                           lane=lane)
-    energy = float(np.mean(np.sum(np.abs(s) ** 2, axis=1)))
-    return per_warden, csr, energy
+        return warden_detection(system, rng.generator(), trials, max(trials, 10_000),
+                                target_pf, lane=lane)
 
 
 def lrt_detection_for_signals(s: np.ndarray, scenario: ScenarioPreset,
@@ -100,9 +95,8 @@ def measure_ber(system: System, snr_grid_db: list[float], trials: int,
     rows = []
     with Lane() as lane:
         for snr_db in snr_grid_db:
-            sigma_b2 = snr_db_to_bob_sigma2(spec.power, snr_db)
-            m, s = sample_signals(system, gen, trials, lane=lane)
-            ber = decode_ber(system.decode, system.scenario, s, m, sigma_b2, gen, lane=lane)
+            ber = decode_ber(system, system.scenario, trials,
+                             snr_db_to_bob_sigma2(spec.power, snr_db), gen, lane=lane)
             rows.append((snr_db, ber, _binom_se(ber, trials * spec.message_bits)))
     return rows
 
@@ -133,43 +127,50 @@ class NoiseInjectionTransmitter:
     """
 
     alpha: float
-    spec: GeneratorSpec
+    gen_spec: GeneratorSpec
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError(f"alpha must be in (0,1], got {self.alpha}")
-        if self.spec.n % self.spec.message_bits != 0:
+        if self.gen_spec.n % self.gen_spec.message_bits != 0:
             raise DomainError("slot length must be a multiple of message_bits")
 
     def chips(self, m: np.ndarray) -> np.ndarray:
-        reps = self.spec.n // self.spec.message_bits
-        return np.repeat(m, reps, axis=1) / np.sqrt(self.spec.n)
+        reps = self.gen_spec.n // self.gen_spec.message_bits
+        return np.repeat(m, reps, axis=1) / np.sqrt(self.gen_spec.n)
+
+    def draw(self, gen: np.random.Generator, count: int):
+        """Draw count slots' (count, bits) messages and (count, N) unit-variance masks."""
+        m = sample_messages(self.gen_spec, gen, count)
+        return m, sample_awgn(self.gen_spec.n, 1.0, gen, count=count)
+
+    def encode(self, m: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Signals for messages m under drawn masks, each mask scaled to its share."""
+        p = self.gen_spec.power
+        sig = np.sqrt(self.alpha * p) * self.chips(m).astype(complex)
+        norm = np.sqrt(np.sum(np.abs(mask) ** 2, axis=1, keepdims=True))
+        mask = mask * (np.sqrt((1.0 - self.alpha) * p) / np.maximum(norm, 1e-300))
+        return project_power(sig + mask, p)[0]
 
     def generate(self, m: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        """Signals for messages m, their masks drawn from gen."""
         m = np.atleast_2d(m)
-        p = self.spec.power
-        sig = np.sqrt(self.alpha * p) * self.chips(m).astype(complex)
-        mask = sample_awgn(self.spec.n, 1.0, gen, count=m.shape[0])
-        mask *= np.sqrt((1.0 - self.alpha) * p) \
-            / np.maximum(np.sqrt(np.sum(np.abs(mask) ** 2, axis=1, keepdims=True)), 1e-300)
-        return project_power(sig + mask, p)[0]
+        return self.encode(m, sample_awgn(self.gen_spec.n, 1.0, gen, count=m.shape[0]))
 
     def decode(self, y: np.ndarray, taps: np.ndarray) -> np.ndarray:
         """Matched-filter decode with perfect CSI: the sign of each bit's
         correlation Re<H c_j, y> with its channel-convolved chip pattern c_j,
         computed as Re<c_j, H^H y> after one adjoint pass."""
-        basis = self.chips(np.eye(self.spec.message_bits))  # bit j's chip pattern in row j
+        basis = self.chips(np.eye(self.gen_spec.message_bits))  # bit j's chip pattern in row j
         return np.sign(np.real(propagate_adjoint(np.atleast_2d(y), taps)) @ basis.T + 1e-12)
 
 
 def noise_injection_ber(tx: NoiseInjectionTransmitter, scenario: ScenarioPreset,
                         snr_db: float, trials: int, rng: RngStream) -> float:
     """Bob's BER of the baseline at snr_db, through the learned system's kernel."""
-    gen = rng.generator()
-    m = sample_messages(tx.spec, gen, trials)
     with Lane() as lane:
-        return decode_ber(tx.decode, scenario, tx.generate(m, gen), m,
-                          snr_db_to_bob_sigma2(tx.spec.power, snr_db), gen, lane=lane)
+        return decode_ber(tx, scenario, trials, snr_db_to_bob_sigma2(tx.gen_spec.power, snr_db),
+                          rng.generator(), lane=lane)
 
 
 def noise_injection_pd_lrt(tx: NoiseInjectionTransmitter, scenario: ScenarioPreset,
@@ -178,7 +179,7 @@ def noise_injection_pd_lrt(tx: NoiseInjectionTransmitter, scenario: ScenarioPres
     """Per-warden genie-LRT pd of the noise-injection baseline: messages and
     masks come from signal_rng, the warden taps from warden_rng."""
     gen = signal_rng.generator()
-    s = tx.generate(sample_messages(tx.spec, gen, trials), gen)
+    s = tx.generate(sample_messages(tx.gen_spec, gen, trials), gen)
     return lrt_detection_for_signals(s, scenario, warden_rng, target_pf=target_pf)
 
 

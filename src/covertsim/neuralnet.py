@@ -18,12 +18,9 @@ from .numerics import DomainError, RngStream
 
 _EPS_CLAMP = 1e-7
 
-# The Monte Carlo kernels that hold a whole draw run it through row_blocks,
-# so each layer's activations stay cache-sized. Block starts are multiples
-# of 512, so every row falls in the same OpenBLAS GEMM row tile as in the
-# whole-batch product and the results are bit-identical; unaligned blocks
-# (255 or 1,023 rows) changed the last bits, and blocks of a few dozen rows
-# take OpenBLAS's small-matrix path. 512 measured faster than 1,024 and
+# The Monte Carlo kernels run their channels and forwards through row_blocks,
+# so each layer's activations stay cache-sized. Blocks of a few dozen rows
+# take OpenBLAS's small-matrix path; 512 measured faster than 1,024 and
 # 2,048 and about as fast as 256, further from that path.
 _BLOCK = 512
 
@@ -97,11 +94,11 @@ _ACTIVATIONS = {
 }
 
 
-def row_blocks(rows: int) -> list[slice]:
+def row_blocks(rows: int, size: int = _BLOCK) -> list[slice]:
     """Slices tiling range(rows) in order, each starting at a multiple of
-    _BLOCK; the last absorbs the remainder, so every block has at least
-    _BLOCK rows, and fewer than 2 * _BLOCK rows make a single block."""
-    bounds = [i * _BLOCK for i in range(max(rows // _BLOCK, 1))] + [rows]
+    size; the last absorbs the remainder, so every block has at least
+    size rows, and fewer than 2 * size rows make a single block."""
+    bounds = [i * size for i in range(max(rows // size, 1))] + [rows]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 

@@ -12,6 +12,7 @@ from covertsim.adversarial import (
     AdamState,
     GeneratorSpec,
     TrainConfig,
+    _CHUNK,
     _disc_update,
     adaptive_warden_loop,
     build_system,
@@ -22,7 +23,7 @@ from covertsim.adversarial import (
     project_power_backward,
     sample_bob_taps,
     sample_latents,
-    sample_signals,
+    sample_messages,
     sample_warden_taps,
     snapshot_metrics,
     snr_db_to_bob_sigma2,
@@ -31,6 +32,7 @@ from covertsim.adversarial import (
 )
 from covertsim.channel import propagate
 from covertsim.detection import pd_at_target_pf
+from covertsim.evaluation import NoiseInjectionTransmitter
 from covertsim.neuralnet import Lane, row_blocks
 from covertsim.numerics import DomainError, RngStream, from_reim, sample_awgn, to_reim
 from covertsim.scenarios import get_preset, make_scenario
@@ -155,82 +157,99 @@ def test_generated_signals_respect_power():
     assert np.all(np.sum(np.abs(s) ** 2, axis=1) <= TINY_SPEC.power + 1e-9)
 
 
-def test_sample_signals_match_a_whole_batch_reference():
-    # 1,700 rows make three row blocks, the last of 676 rows;
-    # a dropout generator checks that eval mode draws no masks
-    spec = GeneratorSpec(message_bits=4, noise_dim=4, n=8, power=1.0,
-                         hidden=(16, 16), dropout=0.3)
-    system = build_system(spec, make_scenario(2), RngStream(0))
-    assert len(row_blocks(1700)) == 3
-    gen_a, gen_b = RngStream(5).generator(), RngStream(5).generator()
-    with Lane() as lane:
-        m, s = sample_signals(system, gen_a, 1700, lane=lane)
-    m_ref, z_ref = sample_latents(spec, gen_b, 1700)
-    s_ref, aux = generate_signal(system, m_ref, z_ref)
-    assert aux is None
-    np.testing.assert_array_equal(m, m_ref)
-    np.testing.assert_array_equal(s, s_ref)
-    # the power projection binds on some rows and not on others
-    energy = np.sum(np.abs(s) ** 2, axis=1)
-    assert np.any(np.isclose(energy, spec.power)) and np.any(energy < 0.99 * spec.power)
-    np.testing.assert_array_equal(gen_a.standard_normal(5), gen_b.standard_normal(5))
+def _chunk_counts(rows):
+    return [sl.stop - sl.start for sl in row_blocks(rows, _CHUNK)]
 
 
-def _serial_warden_detection(system, s, gen, calib, target_pf):
-    """warden_detection as one thread runs it: every draw, then its block loops."""
-    scen = system.scenario
-    trials, n = s.shape
-    taps = sample_warden_taps(scen, trials, gen)
+def _chunk_blocks(rows):
+    """The row blocks of every chunk, as slices of range(rows)."""
+    return [slice(ch.start + sl.start, ch.start + sl.stop)
+            for ch in row_blocks(rows, _CHUNK) for sl in row_blocks(ch.stop - ch.start)]
+
+
+def _serial_detection(system, gen, trials, calib, target_pf):
+    """warden_detection on one thread: every chunk's draws in the kernel's
+    order (latents, taps and noises per H1 chunk, then the H0 chunks), then
+    the block loops, one warden at a time."""
+    scen, spec = system.scenario, system.gen_spec
+    h1 = [(*sample_latents(spec, gen, c), sample_warden_taps(scen, c, gen),
+           sample_awgn(spec.n, scen.warden_sigma2, gen, count=c))
+          for c in _chunk_counts(trials)]
+    y0 = np.concatenate([sample_awgn(spec.n, scen.warden_sigma2, gen, count=c)
+                         for c in _chunk_counts(calib)], axis=1)
+    m, z = (np.concatenate([chunk[j] for chunk in h1]) for j in (0, 1))
+    taps, noise1 = (np.concatenate([chunk[j] for chunk in h1], axis=1) for j in (2, 3))
+    s = np.concatenate([generate_signal(system, m[sl], z[sl])[0] for sl in _chunk_blocks(trials)])
     detected = np.zeros((scen.k, trials), dtype=bool)
     out = []
     for i, disc in enumerate(system.discriminators):
         sigma2 = scen.warden_sigma2[i]
-        noise1 = sample_awgn(n, sigma2, gen, count=trials)
-        y0 = sample_awgn(n, sigma2, gen, count=calib)
         out1, ex, out0 = np.empty(trials), np.empty(trials), np.empty(calib)
-        for sl in row_blocks(trials):
+        for sl in _chunk_blocks(trials):
             x1 = propagate(s[sl], taps[i, sl])
             ex[sl] = np.sum(np.abs(x1) ** 2, axis=1)
-            out1[sl] = disc.forward(to_reim(x1 + noise1[sl]))[0][:, 0]
-        for sl in row_blocks(calib):
-            out0[sl] = disc.forward(to_reim(y0[sl]))[0][:, 0]
+            out1[sl] = disc.forward(to_reim(x1 + noise1[i, sl]))[0][:, 0]
+        for sl in _chunk_blocks(calib):
+            out0[sl] = disc.forward(to_reim(y0[i, sl]))[0][:, 0]
         thr = np.quantile(out0, target_pf)
         detected[i] = out1 < thr
         out.append((float(np.mean(detected[i])), float(np.mean(out0 < thr)),
                     float(np.mean(pd_at_target_pf(ex, sigma2, target_pf)))))
-    return out, float(np.mean(~np.any(detected, axis=0)))
+    energy = float(np.mean(np.sum(np.abs(s) ** 2, axis=1)))
+    return out, float(np.mean(~np.any(detected, axis=0))), energy
 
 
-def _serial_decode_ber(decode, scenario, s, m, sigma2, gen):
-    trials, n = s.shape
-    taps = sample_bob_taps(scenario, trials, gen)
-    noise = sample_awgn(n, sigma2, gen, count=trials)
-    errors = 0
-    for sl in row_blocks(trials):
-        m_hat = decode(propagate(s[sl], taps[sl]) + noise[sl], taps[sl])
-        errors += int(np.count_nonzero(np.sign(m_hat + 1e-12) != m[sl]))
-    return errors / m.size
+def _serial_ber(draw, encode, decode, scenario, n, trials, sigma2, gen):
+    """decode_ber on one thread: each chunk's inputs, Bob's taps and Bob's
+    noise, every chunk drawn first, then the block loops."""
+    chunks = [(draw(gen, c), sample_bob_taps(scenario, c, gen),
+               sample_awgn(n, sigma2, gen, count=c)) for c in _chunk_counts(trials)]
+    errors = bits = 0
+    for drawn, taps, noise in chunks:
+        m = drawn[0]
+        for sl in row_blocks(len(m)):
+            s = encode(*(a[sl] for a in drawn))
+            m_hat = decode(propagate(s, taps[sl]) + noise[sl], taps[sl])
+            errors += int(np.count_nonzero(np.sign(m_hat + 1e-12) != m[sl]))
+        bits += m.size
+    return errors / bits
+
+
+def _noise_injection_draw(spec):
+    def draw(gen, count):
+        m = sample_messages(spec, gen, count)
+        return m, sample_awgn(spec.n, 1.0, gen, count=count)
+    return draw
 
 
 @pytest.mark.parametrize("preset", ["urban", "6g-dense"])
-@pytest.mark.parametrize("trials", [300, 1700, 2049])
+@pytest.mark.parametrize("trials", [300, 1700, 2049, 4096, 5000])
 def test_lane_kernels_equal_a_serial_run(preset, trials):
-    # one, three and four row blocks; 6g-dense has five correlated wardens
+    # one chunk of one, three and four row blocks, two whole chunks, and two
+    # chunks whose last absorbs the remainder; 4,500 calibration slots are two
+    # chunks with a remainder; 6g-dense has five correlated wardens;
+    # GeneratorSpec() has dropout, so an eval-mode mask draw would leave the
+    # generators in different states
+    assert [len(row_blocks(r, _CHUNK)) for r in (2049, 4096, 5000, 4500)] == [1, 2, 2, 2]
     scen = get_preset(preset)
     system = build_system(GeneratorSpec(), scen, RngStream(0))
+    tx = NoiseInjectionTransmitter(0.5, system.gen_spec)
+    sigma2 = snr_db_to_bob_sigma2(system.gen_spec.power, 5.0)
     gen_a, gen_b = RngStream(9, trials).generator(), RngStream(9, trials).generator()
     with Lane() as lane:
-        m, s = sample_signals(system, gen_a, trials, lane=lane)
-        wardens, csr = warden_detection(system, s, gen_a, 2500, 0.1, lane=lane)
-        ber = decode_ber(system.decode, scen, s, m, system.bob_sigma2, gen_a, lane=lane)
-    m_ref, z_ref = sample_latents(system.gen_spec, gen_b, trials)
-    s_ref = np.concatenate([generate_signal(system, m_ref[sl], z_ref[sl])[0]
-                            for sl in row_blocks(trials)])
-    ref, csr_ref = _serial_warden_detection(system, s_ref, gen_b, 2500, 0.1)
-    ber_ref = _serial_decode_ber(system.decode, scen, s_ref, m_ref, system.bob_sigma2, gen_b)
-    assert np.array_equal(m, m_ref) and np.array_equal(s, s_ref)
+        wardens, csr, energy = warden_detection(system, gen_a, trials, 4500, 0.1, lane=lane)
+        ber = decode_ber(system, scen, trials, sigma2, gen_a, lane=lane)
+        ber_tx = decode_ber(tx, scen, trials, sigma2, gen_a, lane=lane)
+    ref, csr_ref, energy_ref = _serial_detection(system, gen_b, trials, 4500, 0.1)
+    n = system.gen_spec.n
+    ber_ref = _serial_ber(lambda g, c: sample_latents(system.gen_spec, g, c),
+                          lambda m, z: generate_signal(system, m, z)[0], system.decode,
+                          scen, n, trials, sigma2, gen_b)
+    ber_tx_ref = _serial_ber(_noise_injection_draw(tx.gen_spec), tx.encode, tx.decode,
+                             scen, n, trials, sigma2, gen_b)
     assert [(w.pd, w.pf, w.pd_lrt) for w in wardens] == ref
-    assert csr == csr_ref and ber == ber_ref
+    assert (csr, energy, ber, ber_tx) == (csr_ref, energy_ref, ber_ref, ber_tx_ref)
+    assert 0.0 < ber_tx < 0.5
     assert np.array_equal(gen_a.standard_normal(5), gen_b.standard_normal(5))
 
 

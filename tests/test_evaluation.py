@@ -2,6 +2,8 @@
 measurement, the noise-injection and single-discriminator baselines and
 the experiment sweeps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,36 @@ def test_evaluate_system_deterministic():
     assert a.per_warden[0].pd == b.per_warden[0].pd
 
 
+def _traced_peak(fn) -> int:
+    """Peak bytes traced while fn runs; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kernel", ["detection", "ber"])
+def test_evaluation_memory_does_not_grow_with_the_draws(kernel):
+    # whole-array draws grew the peak by about 2.0 kB (detection) and 1.4 kB
+    # (BER) per added trial on this system. Detection may grow by its
+    # per-trial outputs: per warden the H1 verdicts, the received energies,
+    # the H0 verdicts (calibration is max(trials, 10,000) slots) and a
+    # detection flag, the signal energies, and one warden's q_function list
+    # at a time; BER by nothing
+    spec = GeneratorSpec(message_bits=4, noise_dim=4, n=32, power=4.0, hidden=(16, 16))
+    scen = get_preset("urban")
+    system = build_system(spec, scen, RngStream(0), disc_hidden=(16,), dec_hidden=(16,))
+    if kernel == "detection":
+        run, bytes_per_trial = (lambda t: measure_detection(system, t, RngStream(1)),
+                                40 * scen.k + 100)
+    else:
+        run, bytes_per_trial = lambda t: measure_ber(system, [20.0], t, RngStream(2)), 32
+    small, large = (_traced_peak(lambda: run(t)) for t in (4096, 40_960))
+    assert large - small < bytes_per_trial * (40_960 - 4096)
+
+
 # ---------------------------------------------------------------------------
 # noise-injection baseline
 # ---------------------------------------------------------------------------
@@ -143,9 +175,9 @@ def _per_bit_correlation_decode(tx, y, taps):
     """Reference matched filter: correlate y with each bit's chip pattern
     pushed through the channel, one propagate pass per bit."""
     batch, n = y.shape
-    basis = tx.chips(np.eye(tx.spec.message_bits))
-    out = np.empty((batch, tx.spec.message_bits))
-    for j in range(tx.spec.message_bits):
+    basis = tx.chips(np.eye(tx.gen_spec.message_bits))
+    out = np.empty((batch, tx.gen_spec.message_bits))
+    for j in range(tx.gen_spec.message_bits):
         ref = propagate(np.broadcast_to(basis[j].astype(complex), (batch, n)), taps)
         out[:, j] = np.real(np.sum(np.conj(ref) * y, axis=1))
     return np.sign(out + 1e-12)
@@ -174,11 +206,11 @@ def _whole_batch_noise_injection_ber(tx, scenario, snr_db, trials, rng):
     """The baseline's BER with the channel, the noise and the decoder each
     run on the whole batch, drawing in the kernel's order."""
     gen = rng.generator()
-    m = sample_messages(tx.spec, gen, trials)
+    m = sample_messages(tx.gen_spec, gen, trials)
     s = tx.generate(m, gen)
     taps = sample_bob_taps(scenario, trials, gen)
-    sigma2 = snr_db_to_bob_sigma2(tx.spec.power, snr_db)
-    y = propagate(s, taps) + sample_awgn(tx.spec.n, sigma2, gen, count=trials)
+    sigma2 = snr_db_to_bob_sigma2(tx.gen_spec.power, snr_db)
+    y = propagate(s, taps) + sample_awgn(tx.gen_spec.n, sigma2, gen, count=trials)
     return float(np.mean(tx.decode(y, taps) != m))
 
 

@@ -370,14 +370,16 @@ def test_weights_are_views_of_params():
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 10 ** 5))
-def test_row_blocks_tile_the_rows_in_aligned_blocks(rows):
-    blocks = row_blocks(rows)
+@given(st.integers(0, 10 ** 5), st.sampled_from([None, 7, 4 * _BLOCK]))
+def test_row_blocks_tile_the_rows_in_aligned_blocks(rows, size):
+    # the default size is _BLOCK; the evaluation kernels' chunks are 4 * _BLOCK
+    blocks = row_blocks(rows) if size is None else row_blocks(rows, size)
+    size = size or _BLOCK
     assert [i for sl in blocks for i in range(rows)[sl]] == list(range(rows))
-    assert all(sl.start % _BLOCK == 0 for sl in blocks)
-    if rows >= _BLOCK:
-        assert all(sl.stop - sl.start >= _BLOCK for sl in blocks)
-    if rows < 2 * _BLOCK:
+    assert all(sl.start % size == 0 for sl in blocks)
+    if rows >= size:
+        assert all(sl.stop - sl.start >= size for sl in blocks)
+    if rows < 2 * size:
         assert len(blocks) == 1
 
 
