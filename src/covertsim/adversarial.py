@@ -340,41 +340,44 @@ def csr_from_detections(detected: np.ndarray) -> float:
     return float(np.mean(~np.any(detected, axis=0)))
 
 
-# Each kernel draws per chunk of _CHUNK trials and runs the chunk's block
-# loop as one Lane step while the next chunk is drawn, so an evaluation holds
-# two chunks of draws whatever its trial count. One urban evaluate_system of
-# 20,000 trials, after a first one in the same process (2 CPUs, one BLAS
-# thread), measured per chunk size: traced peak, minor page faults, time.
-#   512 rows     7.0 MB  46,700 faults  0.60-0.62 s
-#   1,024 rows  10.6 MB   1,400-1,900   0.46-0.51 s
-#   2,048 rows  17.1 MB   1,600-2,400   0.37-0.43 s
-#   4,096 rows  29.9 MB   3,500-4,200   0.42-0.50 s
+# The kernels draw per chunk of _CHUNK trials, each draw just before the Lane
+# step that reads it, so the draws alive do not grow with the trial count.
+# One urban evaluate_system of 20,000 trials, after a first one in the same
+# process (2 CPUs, one BLAS thread), per chunk size: traced peak, minor page
+# faults and time over two to three runs.
+#   512 rows     4.3 MB  85,100 faults       0.50-0.67 s
+#   1,024 rows   6.4 MB   3,700-10,700       0.39-0.50 s
+#   2,048 rows  10.4 MB   3,400-4,800        0.37-0.49 s
+#   4,096 rows  18.6 MB   4,800-6,600        0.33-0.44 s
 #   whole-array draws 44.1 MB, 7,800 faults, 0.49-0.50 s
+# 2,048 is the smallest size whose faults stayed under whole-array draws' in
+# every run.
 _CHUNK = 4 * _BLOCK
 
 
-def _detect_h1(system: System, m: np.ndarray, z: np.ndarray, taps: np.ndarray,
-               noise: np.ndarray, energy: np.ndarray, ex: np.ndarray,
-               out: np.ndarray) -> None:
-    """One chunk's H1 block loop: the signals and their energies into energy,
-    the K wardens' received energies into ex, their verdicts into out."""
-    discs = system.discriminators
+def _generate(system: System, m: np.ndarray, z: np.ndarray, s: np.ndarray,
+              energy: np.ndarray) -> None:
+    """One chunk's generator block loop: signals into s, their energies into energy."""
     for sl in row_blocks(len(m)):
-        s = system.encode(m[sl], z[sl])
-        energy[sl] = np.sum(np.abs(s) ** 2, axis=1)
-        x1 = propagate(s, taps[:, sl])
-        ex[:, sl] = np.sum(np.abs(x1) ** 2, axis=-1)
-        y1 = x1 + noise[:, sl]
-        for i, disc in enumerate(discs):
-            out[i, sl] = disc.forward(to_reim(y1[i]))[0][:, 0]
+        s[sl] = system.encode(m[sl], z[sl])
+        energy[sl] = np.sum(np.abs(s[sl]) ** 2, axis=1)
 
 
-def _detect_h0(discs: list[DenseNet], y0: np.ndarray, out: np.ndarray) -> None:
-    """One chunk's H0 block loop: the K wardens' verdicts on their calibration
+def _detect_h1(disc: DenseNet, s: np.ndarray, taps: np.ndarray, noise: np.ndarray,
+               ex: np.ndarray, out: np.ndarray) -> None:
+    """One warden's H1 block loop over a chunk: received energies into ex,
+    verdicts into out."""
+    for sl in row_blocks(len(s)):
+        x1 = propagate(s[sl], taps[sl])
+        ex[sl] = np.sum(np.abs(x1) ** 2, axis=1)
+        out[sl] = disc.forward(to_reim(x1 + noise[sl]))[0][:, 0]
+
+
+def _detect_h0(disc: DenseNet, y0: np.ndarray, out: np.ndarray) -> None:
+    """One warden's H0 block loop over a chunk: verdicts on its calibration
     slots y0 into out."""
-    for sl in row_blocks(y0.shape[1]):
-        for i, disc in enumerate(discs):
-            out[i, sl] = disc.forward(to_reim(y0[i, sl]))[0][:, 0]
+    for sl in row_blocks(len(y0)):
+        out[sl] = disc.forward(to_reim(y0[sl]))[0][:, 0]
 
 
 def warden_detection(system: System, gen: np.random.Generator, trials: int,
@@ -385,27 +388,33 @@ def warden_detection(system: System, gen: np.random.Generator, trials: int,
     Each learned discriminator is thresholded at the target false-alarm
     rate on calib fresh H0 slots; pd_lrt is the genie-LRT bound on the
     same H1 cases. Per chunk of trials this thread draws the latents, the
-    K warden taps and the K warden noises; then it draws the H0 slots, K
-    noises per chunk of calib. Each chunk's block loop runs on lane. The
-    wardens' forwards run one after another on each block: a K-stacked
-    forward of a (K, 512, 64) block measured slower (4.3 ms against 2.9 ms
-    for five per-warden forwards on 6g-dense).
+    K warden taps and the K warden noises, then per chunk of calib the K
+    wardens' H0 slots; a warden set's noises are drawn warden by warden, as
+    one sample_awgn call of K variances draws them. Each draw is followed
+    by its step on lane: the chunk's generator after the latents, a
+    warden's H1 block loop after its noise, its H0 block loop after its
+    slots. At 10,000 6g-dense trials this traced an 11.1 MB peak, against
+    22.3 MB when each chunk's K noises were drawn and run as one step.
     """
     scen = system.scenario
     n, variances = system.gen_spec.n, scen.warden_sigma2
     energy = np.empty(trials)
     out1, ex = np.empty((scen.k, trials)), np.empty((scen.k, trials))
     out0 = np.empty((scen.k, calib))
-    # the draws are arguments, not names, so each chunk's are freed when its step ends
+    # noises are arguments, not names, so each is freed when its step ends
     for rows in row_blocks(trials, _CHUNK):
         count = rows.stop - rows.start
-        lane.run(_detect_h1, system, *system.draw(gen, count),
-                 sample_warden_taps(scen, count, gen), sample_awgn(n, variances, gen, count=count),
-                 energy[rows], ex[:, rows], out1[:, rows])
-    discs = system.discriminators
+        s = np.empty((count, n), dtype=complex)
+        lane.run(_generate, system, *system.draw(gen, count), s, energy[rows])
+        taps = sample_warden_taps(scen, count, gen)
+        for i, disc in enumerate(system.discriminators):
+            lane.run(_detect_h1, disc, s, taps[i], sample_awgn(n, variances[i], gen, count=count),
+                     ex[i, rows], out1[i, rows])
     for rows in row_blocks(calib, _CHUNK):
-        lane.run(_detect_h0, discs, sample_awgn(n, variances, gen, count=rows.stop - rows.start),
-                 out0[:, rows])
+        for i, disc in enumerate(system.discriminators):
+            lane.run(_detect_h0, disc,
+                     sample_awgn(n, variances[i], gen, count=rows.stop - rows.start),
+                     out0[i, rows])
     lane.wait()
     detected = np.zeros((scen.k, trials), dtype=bool)
     out = []
