@@ -364,7 +364,7 @@ def _generate(system: System, m: np.ndarray, z: np.ndarray, s: np.ndarray,
 
 
 def _detect_h1(disc: DenseNet, s: np.ndarray, taps: np.ndarray, noise: np.ndarray,
-               ex: np.ndarray, out: np.ndarray) -> None:
+               out: np.ndarray, ex: np.ndarray) -> None:
     """One warden's H1 block loop over a chunk: received energies into ex,
     verdicts into out."""
     for sl in row_blocks(len(s)):
@@ -409,7 +409,7 @@ def warden_detection(system: System, gen: np.random.Generator, trials: int,
         taps = sample_warden_taps(scen, count, gen)
         for i, disc in enumerate(system.discriminators):
             lane.run(_detect_h1, disc, s, taps[i], sample_awgn(n, variances[i], gen, count=count),
-                     ex[i, rows], out1[i, rows])
+                     out1[i, rows], ex[i, rows])
     for rows in row_blocks(calib, _CHUNK):
         for i, disc in enumerate(system.discriminators):
             lane.run(_detect_h0, disc,

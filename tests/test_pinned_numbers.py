@@ -106,7 +106,7 @@ def test_6g_dense_seed0_numbers_are_pinned():
     assert report.ber == pytest.approx(0.4766666666666667, rel=REL)
     per_warden = [v for w in report.per_warden for v in (w.pd, w.pf, w.pd_lrt)]
     assert per_warden == pytest.approx(
-        [0.14333333333333334, 0.1, 0.9807982935343665,
+        [0.14333333333333334, 0.1, 0.9807982935343666,
          0.09333333333333334, 0.1, 0.9744993596095499,
          0.17333333333333334, 0.1, 0.9775195498724744,
          0.17, 0.1, 0.9803369988577209,
@@ -151,8 +151,9 @@ def test_urban_wasserstein_seed0_numbers_are_pinned():
 
 
 def test_urban_evaluation_over_several_row_blocks_is_pinned():
-    # 2,500 trials: the generator, H1 and decoder forwards span four 512-row
-    # blocks, the last with the remainder, and the 10,000 H0 rows nineteen
+    # 2,500 trials: one draw chunk, whose generator, H1 and decoder forwards
+    # span four 512-row blocks, the last with the remainder; the 10,000 H0
+    # rows are four chunks of nineteen blocks in all
     cfg = TrainConfig(iterations=4, batch=16, disc_warmup=2, snapshot_every=0)
     system, _ = train(cfg, get_preset("urban"), RngStream(0))
     report = evaluate_system(system, 2500, RngStream(0, 7))
