@@ -89,29 +89,25 @@ class TrainConfig:
             raise DomainError("snapshot_trials must be >= 1 while snapshots are on")
 
 
+def _column(key: str) -> property:
+    """A read-only property: key's value in every row of a TrainLog, in order."""
+    return property(lambda log: [row[key] for row in log.rows])
+
+
 @dataclass
 class TrainLog:
-    """Per-iteration loss traces plus periodic metric snapshots."""
+    """One row per iteration, its keys ``iteration``, ``gen_loss``,
+    ``covert_loss``, ``decode_mse``, ``disc_loss`` (one value per warden) and
+    ``covert_metric``, plus the periodic metric snapshots."""
 
-    iterations: list[int] = field(default_factory=list)
-    gen_loss: list[float] = field(default_factory=list)
-    covert_loss: list[float] = field(default_factory=list)
-    decode_mse: list[float] = field(default_factory=list)
-    disc_loss: list[list[float]] = field(default_factory=list)
-    covert_metric: list[float] = field(default_factory=list)
+    rows: list[dict] = field(default_factory=list)
     snapshots: list[dict] = field(default_factory=list)
 
-    def rows(self):
-        """Line-record view (one dict per iteration) for jsonl streaming."""
-        for j, it in enumerate(self.iterations):
-            yield {
-                "iteration": it,
-                "gen_loss": self.gen_loss[j],
-                "covert_loss": self.covert_loss[j],
-                "decode_mse": self.decode_mse[j],
-                "disc_loss": self.disc_loss[j],
-                "covert_metric": self.covert_metric[j],
-            }
+    gen_loss = _column("gen_loss")
+    covert_loss = _column("covert_loss")
+    decode_mse = _column("decode_mse")
+    disc_loss = _column("disc_loss")
+    covert_metric = _column("covert_metric")
 
 
 @dataclass
@@ -381,20 +377,21 @@ def _detect_h0(disc: DenseNet, y0: np.ndarray, out: np.ndarray) -> None:
 
 
 def warden_detection(system: System, gen: np.random.Generator, trials: int,
-                     calib: int, target_pf: float = 0.1, *, lane: Lane):
+                     calib: int, target_pf: float = 0.1):
     """Per-warden detection of trials fresh signals; returns
     (list[WardenMetrics], csr, mean signal energy).
 
     Each learned discriminator is thresholded at the target false-alarm
     rate on calib fresh H0 slots; pd_lrt is the genie-LRT bound on the
-    same H1 cases. Per chunk of trials this thread draws the latents, the
-    K warden taps and the K warden noises, then per chunk of calib the K
-    wardens' H0 slots; a warden set's noises are drawn warden by warden, as
-    one sample_awgn call of K variances draws them. Each draw is followed
-    by its step on lane: the chunk's generator after the latents, a
-    warden's H1 block loop after its noise, its H0 block loop after its
-    slots. At 10,000 6g-dense trials this traced an 11.1 MB peak, against
-    22.3 MB when each chunk's K noises were drawn and run as one step.
+    same H1 cases. Per chunk of trials the calling thread draws the
+    latents, the K warden taps and the K warden noises, then per chunk of
+    calib the K wardens' H0 slots; a warden set's noises are drawn warden
+    by warden, as one sample_awgn call of K variances draws them. Each draw
+    is followed by its step on the call's own Lane: the chunk's generator
+    after the latents, a warden's H1 block loop after its noise, its H0
+    block loop after its slots. At 10,000 6g-dense trials this traced an
+    11.1 MB peak, against 22.3 MB when each chunk's K noises were drawn and
+    run as one step.
     """
     scen = system.scenario
     n, variances = system.gen_spec.n, scen.warden_sigma2
@@ -402,20 +399,21 @@ def warden_detection(system: System, gen: np.random.Generator, trials: int,
     out1, ex = np.empty((scen.k, trials)), np.empty((scen.k, trials))
     out0 = np.empty((scen.k, calib))
     # noises are arguments, not names, so each is freed when its step ends
-    for rows in row_blocks(trials, _CHUNK):
-        count = rows.stop - rows.start
-        s = np.empty((count, n), dtype=complex)
-        lane.run(_generate, system, *system.draw(gen, count), s, energy[rows])
-        taps = sample_warden_taps(scen, count, gen)
-        for i, disc in enumerate(system.discriminators):
-            lane.run(_detect_h1, disc, s, taps[i], sample_awgn(n, variances[i], gen, count=count),
-                     out1[i, rows], ex[i, rows])
-    for rows in row_blocks(calib, _CHUNK):
-        for i, disc in enumerate(system.discriminators):
-            lane.run(_detect_h0, disc,
-                     sample_awgn(n, variances[i], gen, count=rows.stop - rows.start),
-                     out0[i, rows])
-    lane.wait()
+    with Lane() as lane:
+        for rows in row_blocks(trials, _CHUNK):
+            count = rows.stop - rows.start
+            s = np.empty((count, n), dtype=complex)
+            lane.run(_generate, system, *system.draw(gen, count), s, energy[rows])
+            taps = sample_warden_taps(scen, count, gen)
+            for i, disc in enumerate(system.discriminators):
+                lane.run(_detect_h1, disc, s, taps[i],
+                         sample_awgn(n, variances[i], gen, count=count),
+                         out1[i, rows], ex[i, rows])
+        for rows in row_blocks(calib, _CHUNK):
+            for i, disc in enumerate(system.discriminators):
+                lane.run(_detect_h0, disc,
+                         sample_awgn(n, variances[i], gen, count=rows.stop - rows.start),
+                         out0[i, rows])
     detected = np.zeros((scen.k, trials), dtype=bool)
     out = []
     for i, sigma2 in enumerate(scen.warden_sigma2):
@@ -429,15 +427,16 @@ def warden_detection(system: System, gen: np.random.Generator, trials: int,
 
 
 def decode_ber(tx, scenario: ScenarioPreset, trials: int, sigma2: float,
-               gen: np.random.Generator, *, lane: Lane) -> float:
+               gen: np.random.Generator) -> float:
     """Bit error rate of transmitter tx over trials fresh slots at Bob's
     noise variance sigma2.
 
     tx is a System or a NoiseInjectionTransmitter: tx.draw(gen, count)
     draws a chunk's inputs, messages first; tx.encode maps a block of them
     to signals; tx.decode(y_b, taps) returns soft or hard bits. Per chunk of
-    trials this thread draws the inputs, Bob's taps and Bob's noise, and
-    the chunk's encode, channel and decode run in row blocks on lane.
+    trials the calling thread draws the inputs, Bob's taps and Bob's noise,
+    and the chunk's encode, channel and decode run in row blocks on the
+    call's own Lane.
     """
     spec = tx.gen_spec
     errors = np.zeros(1, dtype=np.int64)
@@ -449,11 +448,11 @@ def decode_ber(tx, scenario: ScenarioPreset, trials: int, sigma2: float,
             m_hat = tx.decode(propagate(s, taps[sl]) + noise[sl], taps[sl])
             errors[0] += np.count_nonzero(np.sign(m_hat + 1e-12) != m[sl])
 
-    for rows in row_blocks(trials, _CHUNK):
-        count = rows.stop - rows.start
-        lane.run(count_errors, tx.draw(gen, count), sample_bob_taps(scenario, count, gen),
-                 sample_awgn(spec.n, sigma2, gen, count=count))
-    lane.wait()
+    with Lane() as lane:
+        for rows in row_blocks(trials, _CHUNK):
+            count = rows.stop - rows.start
+            lane.run(count_errors, tx.draw(gen, count), sample_bob_taps(scenario, count, gen),
+                     sample_awgn(spec.n, sigma2, gen, count=count))
     return int(errors[0]) / (trials * spec.message_bits)
 
 
@@ -467,10 +466,8 @@ def snapshot_metrics(system: System, rng: RngStream, trials: int = 512,
     fresh signals, drawn after the detection draws.
     """
     gen = rng.generator()
-    with Lane() as lane:
-        wardens, csr, energy = warden_detection(system, gen, trials, 2000, target_pf,
-                                                lane=lane)
-        ber = decode_ber(system, system.scenario, trials, system.bob_sigma2, gen, lane=lane)
+    wardens, csr, energy = warden_detection(system, gen, trials, 2000, target_pf)
+    ber = decode_ber(system, system.scenario, trials, system.bob_sigma2, gen)
     pd_learned = [w.pd for w in wardens]
     pd_lrt = [w.pd_lrt for w in wardens]
     return {
@@ -580,11 +577,15 @@ def train(cfg: TrainConfig, scenario: ScenarioPreset, rng: RngStream,
         disc_round(f"warm-up step {step}")
 
     snap_rng = rng.child(200)
-    if cfg.snapshot_every:
-        snap = snapshot_metrics(system, snap_rng.child(0), trials=cfg.snapshot_trials,
+
+    def snapshot(it: int):
+        """Log iteration it's snapshot, its ``iteration`` key last."""
+        snap = snapshot_metrics(system, snap_rng.child(it), trials=cfg.snapshot_trials,
                                 target_pf=cfg.target_pf)
-        snap["iteration"] = 0
-        log.snapshots.append(snap)
+        log.snapshots.append({**snap, "iteration": it})
+
+    if cfg.snapshot_every:
+        snapshot(0)
 
     for it in range(1, cfg.iterations + 1):
         m, z, w_taps, w_noise, b_taps, b_noise, d_losses = disc_round(f"iteration {it}")
@@ -600,19 +601,11 @@ def train(cfg: TrainConfig, scenario: ScenarioPreset, rng: RngStream,
         adam_step(adam_g, system.generator, g_grads)
         adam_step(adam_dec, system.decoder, dec_grads)
 
-        log.iterations.append(it)
-        log.gen_loss.append(loss)
-        log.covert_loss.append(covert)
-        log.decode_mse.append(mse)
-        log.disc_loss.append(d_losses)
-        log.covert_metric.append(float(np.mean(d1_means)))
-
+        log.rows.append({"iteration": it, "gen_loss": loss, "covert_loss": covert,
+                         "decode_mse": mse, "disc_loss": d_losses,
+                         "covert_metric": float(np.mean(d1_means))})
         if cfg.snapshot_every and it % cfg.snapshot_every == 0:
-            snap = snapshot_metrics(system, snap_rng.child(it),
-                                    trials=cfg.snapshot_trials,
-                                    target_pf=cfg.target_pf)
-            snap["iteration"] = it
-            log.snapshots.append(snap)
+            snapshot(it)
 
     return system, log
 

@@ -121,8 +121,8 @@ class RunConfig:
             raise ValidationError("n: must be a multiple of message_bits")
         if self.n < self.n_taps:
             raise ValidationError(f"n: the slot must hold the n_taps = {self.n_taps} channel taps")
-        if self.trials < 100:
-            raise ValidationError("trials: the evaluator needs at least 100")
+        if self.trials < evaluation.MIN_TRIALS:
+            raise ValidationError(f"trials: the evaluator needs at least {evaluation.MIN_TRIALS}")
 
     def save(self, path) -> None:
         parser = configparser.ConfigParser()
@@ -218,7 +218,7 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, command: str, seeds: list[int
 
 def _write_trainlog(path: Path, log) -> None:
     with open(path, "w") as fh:
-        for row in log.rows():
+        for row in log.rows:
             fh.write(json.dumps(row) + "\n")
         for snap in log.snapshots:
             fh.write(json.dumps({"snapshot": snap}) + "\n")

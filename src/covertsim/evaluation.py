@@ -30,9 +30,13 @@ from .adversarial import (
 )
 from .channel import propagate, propagate_adjoint
 from .detection import pd_at_target_pf
-from .neuralnet import DenseNet, Lane, row_blocks
+from .neuralnet import DenseNet, row_blocks
 from .numerics import DomainError, RngStream, sample_awgn
 from .scenarios import ScenarioPreset
+
+
+# the fewest trials measure_detection, and so every evaluation, accepts
+MIN_TRIALS = 100
 
 
 @dataclass
@@ -66,11 +70,9 @@ def measure_detection(system: System, trials: int, rng: RngStream,
     """Per-warden (pd, pf) through the learned discriminators, calibrated on
     max(trials, 10,000) H0 slots, plus the genie-LRT per-case bound; returns
     (list[WardenMetrics], csr, energy)."""
-    if trials < 100:
-        raise DomainError(f"need at least 100 trials, got {trials}")
-    with Lane() as lane:
-        return warden_detection(system, rng.generator(), trials, max(trials, 10_000),
-                                target_pf, lane=lane)
+    if trials < MIN_TRIALS:
+        raise DomainError(f"need at least {MIN_TRIALS} trials, got {trials}")
+    return warden_detection(system, rng.generator(), trials, max(trials, 10_000), target_pf)
 
 
 def lrt_detection_for_signals(s: np.ndarray, scenario: ScenarioPreset,
@@ -93,11 +95,10 @@ def measure_ber(system: System, snr_grid_db: list[float], trials: int,
     gen = rng.generator()
     spec = system.gen_spec
     rows = []
-    with Lane() as lane:
-        for snr_db in snr_grid_db:
-            ber = decode_ber(system, system.scenario, trials,
-                             snr_db_to_bob_sigma2(spec.power, snr_db), gen, lane=lane)
-            rows.append((snr_db, ber, _binom_se(ber, trials * spec.message_bits)))
+    for snr_db in snr_grid_db:
+        ber = decode_ber(system, system.scenario, trials,
+                         snr_db_to_bob_sigma2(spec.power, snr_db), gen)
+        rows.append((snr_db, ber, _binom_se(ber, trials * spec.message_bits)))
     return rows
 
 
@@ -168,9 +169,8 @@ class NoiseInjectionTransmitter:
 def noise_injection_ber(tx: NoiseInjectionTransmitter, scenario: ScenarioPreset,
                         snr_db: float, trials: int, rng: RngStream) -> float:
     """Bob's BER of the baseline at snr_db, through the learned system's kernel."""
-    with Lane() as lane:
-        return decode_ber(tx, scenario, trials, snr_db_to_bob_sigma2(tx.gen_spec.power, snr_db),
-                          rng.generator(), lane=lane)
+    return decode_ber(tx, scenario, trials, snr_db_to_bob_sigma2(tx.gen_spec.power, snr_db),
+                      rng.generator())
 
 
 def noise_injection_pd_lrt(tx: NoiseInjectionTransmitter, scenario: ScenarioPreset,

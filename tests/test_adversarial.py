@@ -33,7 +33,7 @@ from covertsim.adversarial import (
 from covertsim.channel import propagate
 from covertsim.detection import pd_at_target_pf
 from covertsim.evaluation import NoiseInjectionTransmitter
-from covertsim.neuralnet import Lane, row_blocks
+from covertsim.neuralnet import row_blocks
 from covertsim.numerics import DomainError, RngStream, from_reim, sample_awgn, to_reim
 from covertsim.scenarios import get_preset, make_scenario
 
@@ -236,10 +236,9 @@ def test_lane_kernels_equal_a_serial_run(preset, trials):
     tx = NoiseInjectionTransmitter(0.5, system.gen_spec)
     sigma2 = snr_db_to_bob_sigma2(system.gen_spec.power, 5.0)
     gen_a, gen_b = RngStream(9, trials).generator(), RngStream(9, trials).generator()
-    with Lane() as lane:
-        wardens, csr, energy = warden_detection(system, gen_a, trials, 4500, 0.1, lane=lane)
-        ber = decode_ber(system, scen, trials, sigma2, gen_a, lane=lane)
-        ber_tx = decode_ber(tx, scen, trials, sigma2, gen_a, lane=lane)
+    wardens, csr, energy = warden_detection(system, gen_a, trials, 4500, 0.1)
+    ber = decode_ber(system, scen, trials, sigma2, gen_a)
+    ber_tx = decode_ber(tx, scen, trials, sigma2, gen_a)
     ref, csr_ref, energy_ref = _serial_detection(system, gen_b, trials, 4500, 0.1)
     n = system.gen_spec.n
     ber_ref = _serial_ber(lambda g, c: sample_latents(system.gen_spec, g, c),
@@ -335,14 +334,13 @@ def test_generator_loss_gradients_finite_differences():
 def test_train_smoke_and_log_shapes():
     cfg = TrainConfig(**TINY_CFG)
     system, log = train(cfg, make_scenario(2), RngStream(0), gen_spec=TINY_SPEC)
-    assert len(log.iterations) == cfg.iterations
+    assert len(log.rows) == cfg.iterations
     assert np.all(np.isfinite(log.gen_loss))
     assert len(log.disc_loss[0]) == 2
     # snapshots at 0, 5, 10, 15
     assert [s["iteration"] for s in log.snapshots] == [0, 5, 10, 15]
     assert all(0.0 <= s["csr"] <= 1.0 for s in log.snapshots)
-    rows = list(log.rows())
-    assert rows[0]["iteration"] == 1 and "gen_loss" in rows[0]
+    assert log.rows[0]["iteration"] == 1 and "gen_loss" in log.rows[0]
 
 
 def test_train_is_deterministic():

@@ -218,6 +218,21 @@ def test_train_eval_report_pipeline(tmp_path, capsys):
     assert len(srows) == 2
 
 
+def test_trainlog_lines_are_the_rows_then_the_snapshots(tmp_path):
+    cfg, path = _tiny_config(tmp_path)
+    out = tmp_path / "runs"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    _, log = train(cfg.train_config(), cfg.scenario_preset(), RngStream(cfg.seed),
+                   gen_spec=cfg.generator_spec())
+    assert [list(row) for row in log.rows] == [
+        ["iteration", "gen_loss", "covert_loss", "decode_mse", "disc_loss",
+         "covert_metric"]] * cfg.iterations
+    assert [snap["iteration"] for snap in log.snapshots] == [0, 5, 10]
+    lines = (out / f"trainlog_{cfg.digest()}_s0.jsonl").read_text().splitlines()
+    assert lines == [json.dumps(row) for row in log.rows] + [
+        json.dumps({"snapshot": snap}) for snap in log.snapshots]
+
+
 @pytest.mark.parametrize("row,code", [
     (["proposed", "urban", "3", "csr", "0.5"], EXIT_VALIDATION),
     (["proposed", "urban", "3", "csr", "abc", "0.0", "0"], EXIT_VALIDATION),
@@ -232,6 +247,18 @@ def test_report_refuses_a_malformed_row(tmp_path, capsys, row, code):
     assert main(["report", str(path), "--out", str(tmp_path / "out")]) == code
     if code == EXIT_VALIDATION:
         assert f"{path}, line 3: malformed row" in capsys.readouterr().err
+
+
+def test_report_refuses_a_file_with_another_header(tmp_path, capsys):
+    good, other = tmp_path / "metrics.csv", tmp_path / "other.csv"
+    with open(good, "w", newline="") as fh:
+        csv.writer(fh).writerows([CSV_HEADER, ["proposed", "urban", "3", "ber", "0.1", "0.0", "0"]])
+    with open(other, "w", newline="") as fh:
+        csv.writer(fh).writerows([CSV_HEADER[:-1], ["proposed", "urban", "3", "ber", "0.1", "0.0"]])
+    out = tmp_path / "out"
+    assert main(["report", str(good), str(other), "--out", str(out)]) == EXIT_VALIDATION
+    assert f"{other}: unexpected header {CSV_HEADER[:-1]}" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
 
 
 def test_report_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
@@ -308,6 +335,25 @@ def test_baseline_noise_injection(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == CSV_HEADER
     assert any(r[3] == "mean_pd_lrt" for r in rows[1:])
+
+
+def test_baseline_single_disc(tmp_path):
+    cfg, path = _tiny_config(tmp_path)
+    out = tmp_path / "runs"
+    assert main(["baseline", "single-disc", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    files = list(out.glob("baseline_single-disc_*.csv"))
+    assert [f.name for f in files] == [f"baseline_single-disc_{cfg.digest()}_s0.csv"]
+    with open(files[0]) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == CSV_HEADER
+    assert {(r[0], r[1], r[2]) for r in rows[1:]} == {("single-disc", "custom", str(cfg.k))}
+    metrics = {r[3]: float(r[4]) for r in rows[1:]}
+    for i in range(cfg.k):
+        assert 0.0 <= metrics[f"pd_warden_{i}"] <= 1.0
+        assert 0.0 <= metrics[f"pf_warden_{i}"] <= 1.0
+    assert 0.0 <= metrics["csr"] <= 1.0 and 0.0 <= metrics["ber"] <= 1.0
+    manifest = json.loads((out / f"manifest_baseline-single-disc_{cfg.digest()}.json").read_text())
+    assert manifest["command"] == "baseline-single-disc" and manifest["seeds"] == [0]
 
 
 def test_baseline_unknown_name(tmp_path):
@@ -549,8 +595,10 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
         # two seeds, so the forked workers run too
         ["sweep", "csr-vs-epochs", "--config", str(path), "--seeds", "0,1", "--out", str(out)],
         ["baseline", "noise-injection", "--config", str(path), "--out", str(out)],
+        ["baseline", "single-disc", "--config", str(path), "--out", str(out)],
         ["report", str(out / f"metrics_{tag}.csv"),
-         str(out / f"baseline_noise-injection_{tag}.csv"), "--out", str(out)],
+         str(out / f"baseline_noise-injection_{tag}.csv"),
+         str(out / f"baseline_single-disc_{tag}.csv"), "--out", str(out)],
     ]
     src = str(Path(covertsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

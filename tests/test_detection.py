@@ -114,6 +114,19 @@ def test_pd_at_target_pf_vectorized():
     assert out[0] == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("x_energy,sigma2", [
+    (-1.0, 1.0),
+    (np.array([1.0, -1e-12]), 1.0),
+    (1.0, 0.0),
+    (1.0, -1.0),
+    # one warden's column of a (K, 1) variance is zero
+    (np.ones(3), np.array([[1.0], [0.0]])),
+])
+def test_pd_at_target_pf_refuses_negative_energy_or_variance(x_energy, sigma2):
+    with pytest.raises(DomainError, match="x_energy must be >= 0 and sigma2 > 0"):
+        pd_at_target_pf(x_energy, sigma2, 0.1)
+
+
 def test_monte_carlo_roc_fixed_taps_matches_analytic():
     cfg = ChannelConfig(n_taps=2, noise_variance=1.0)
     s = np.array([1.0, -1.0, 1.0j, 0.5], dtype=complex)

@@ -537,6 +537,13 @@ def test_bce_shape_mismatch():
         bce_loss(np.zeros((2, 1)), np.zeros((3, 1)))
 
 
+def test_mse_shape_mismatch():
+    # target broadcasts against pred, but the shapes must be equal
+    for target in (np.zeros((3, 2)), np.zeros(2)):
+        with pytest.raises(DomainError, match="shape mismatch"):
+            mse_loss(np.zeros((3, 1)), target)
+
+
 def test_mse_hand_value():
     loss, grad = mse_loss(np.array([[1.0, 2.0]]), np.array([[0.0, 0.0]]))
     assert loss == pytest.approx(2.5)
@@ -554,6 +561,15 @@ def test_flat_roundtrip():
     other = _small_net(out_act="linear")
     other.set_flat(flat)
     np.testing.assert_array_equal(other.get_flat(), flat)
+
+
+def test_densenet_refuses_params_of_the_wrong_length():
+    specs = [LayerSpec(3, 4, "relu"), LayerSpec(4, 1, "sigmoid")]  # 16 + 5 parameters
+    assert DenseNet(specs, params=np.zeros(21)).param_count() == 21
+    assert DenseNet(specs, params=np.zeros((2, 21))).params.shape == (2, 21)
+    for params in (np.zeros(20), np.zeros(22), np.zeros((2, 20))):
+        with pytest.raises(DomainError, match=f"params length {params.shape[-1]} != param count 21"):
+            DenseNet(specs, params=params)
 
 
 def test_set_flat_size_check():

@@ -3,7 +3,7 @@
 import pytest
 
 from covertsim.numerics import DomainError
-from covertsim.scenarios import PRESETS, get_preset, make_scenario
+from covertsim.scenarios import PRESETS, ScenarioPreset, get_preset, make_scenario
 
 
 def test_preset_registry():
@@ -64,3 +64,14 @@ def test_make_scenario_defaults_and_validation():
         make_scenario(2, n_taps=0)
     with pytest.raises(DomainError):
         make_scenario(2, rho=1.5)
+
+
+def test_preset_refuses_no_wardens_or_a_mix_outside_the_unit_interval():
+    with pytest.raises(DomainError, match="at least one warden"):
+        ScenarioPreset("custom", ())
+    for mix in (-0.1, 1.5):
+        with pytest.raises(DomainError, match="warden_mix must be in"):
+            ScenarioPreset("custom", (1.0,), warden_mix=mix)
+    # the interval is closed
+    for mix in (0.0, 1.0):
+        assert ScenarioPreset("custom", (1.0,), warden_mix=mix).warden_mix == mix
