@@ -21,6 +21,7 @@ from .neuralnet import (
     Lane,
     LayerSpec,
     _BLOCK,
+    _EPS_CLAMP,
     adam_step,
     bce_loss,
     mse_loss,
@@ -28,8 +29,6 @@ from .neuralnet import (
 )
 from .numerics import DomainError, RngStream, from_reim, sample_awgn, to_reim
 from .scenarios import ScenarioPreset
-
-_CLAMP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -291,9 +290,9 @@ def generator_loss(system: System, m, z, warden_taps, warden_noise,
         covert_terms = system.lambdas * -d1_means
         gp = np.broadcast_to(-lam[..., None] / batch, d1.shape)
     else:
-        pc = np.clip(p, _CLAMP, 1.0 - _CLAMP)
+        pc = np.clip(p, _EPS_CLAMP, 1.0 - _EPS_CLAMP)
         covert_terms = system.lambdas * np.mean(np.log(1.0 - pc), axis=-1)
-        gp = np.where((p > _CLAMP) & (p < 1.0 - _CLAMP),
+        gp = np.where((p > _EPS_CLAMP) & (p < 1.0 - _EPS_CLAMP),
                       -lam / (1.0 - pc) / batch, 0.0)[..., None]
     covert = sum(covert_terms.tolist())
     # only the input gradient: the wardens are not updated by this loss
@@ -504,9 +503,11 @@ def _disc_update(disc: DenseNet, adam: AdamState, y0: np.ndarray, y1: np.ndarray
     Returns the K objective values before the step: E[log D(y0)] +
     E[log(1 - D(y1))] under the loss clamp, or mean c(y0) - mean c(y1).
     """
-    x = np.concatenate([to_reim(y0), to_reim(y1)], axis=-2)
+    b0, n = y0.shape[-2:]
+    x = np.empty((*y0.shape[:-2], b0 + y1.shape[-2], 2 * n))
+    x[..., :b0, :n], x[..., :b0, n:] = y0.real, y0.imag
+    x[..., b0:, :n], x[..., b0:, n:] = y1.real, y1.imag
     out, cache = disc.forward(x, train=True, rng=rng)
-    b0 = y0.shape[-2]
     if loss_mode == "wasserstein":
         # maximize mean c(noise) - mean c(signal)
         gout = np.zeros_like(out)
@@ -517,8 +518,8 @@ def _disc_update(disc: DenseNet, adam: AdamState, y0: np.ndarray, y1: np.ndarray
         labels = np.zeros_like(out)
         labels[..., :b0, :] = 1.0
         _, gout = bce_loss(out, labels)
-        p0 = np.clip(out[..., :b0, 0], _CLAMP, 1 - _CLAMP)
-        p1 = np.clip(out[..., b0:, 0], _CLAMP, 1 - _CLAMP)
+        p0 = np.clip(out[..., :b0, 0], _EPS_CLAMP, 1 - _EPS_CLAMP)
+        p1 = np.clip(out[..., b0:, 0], _EPS_CLAMP, 1 - _EPS_CLAMP)
         value = np.mean(np.log(p0), axis=-1) + np.mean(np.log(1 - p1), axis=-1)
     grads, _ = disc.backward(cache, gout)
     names = [f"disc_{i}" for i in range(len(disc.params))]

@@ -46,34 +46,37 @@ class LayerSpec:
 
 
 def _relu(a):
-    return np.maximum(a, 0.0)
+    return np.maximum(a, 0.0, out=a)
 
 
-def _relu_grad(a, out):
-    return (a > 0).astype(float)
+def _relu_grad(out):
+    return (out > 0).astype(float)
 
 
 def _leaky(a, slope=0.01):
-    return np.maximum(a, slope * a)
+    return np.maximum(a, slope * a, out=a)
 
 
-def _leaky_grad(a, out, slope=0.01):
-    return (a > 0) * (1.0 - slope) + slope
+def _leaky_grad(out, slope=0.01):
+    return (out > 0) * (1.0 - slope) + slope
 
 
 def _sigmoid(a):
-    return 0.5 * (1.0 + np.tanh(0.5 * a))
+    np.tanh(np.multiply(a, 0.5, out=a), out=a)
+    a += 1.0
+    a *= 0.5
+    return a
 
 
-def _sigmoid_grad(a, out):
+def _sigmoid_grad(out):
     return out * (1.0 - out)
 
 
 def _tanh(a):
-    return np.tanh(a)
+    return np.tanh(a, out=a)
 
 
-def _tanh_grad(a, out):
+def _tanh_grad(out):
     return 1.0 - out ** 2
 
 
@@ -81,10 +84,13 @@ def _linear(a):
     return a
 
 
-def _linear_grad(a, out):
-    return np.ones_like(a)
+def _linear_grad(out):
+    return np.ones_like(out)
 
 
+# Activations write into their argument, a fresh matmul output; gradients read
+# the output alone (out > 0 is exactly pre > 0, NaN included), so a train-mode
+# forward caches no pre-activation.
 _ACTIVATIONS = {
     "relu": (_relu, _relu_grad),
     "leaky-relu": (_leaky, _leaky_grad),
@@ -199,8 +205,8 @@ class DenseNet:
                 rng: np.random.Generator | None = None):
         """Run the net; returns (output, cache). cache is None in eval mode.
 
-        train mode samples fresh dropout masks from rng and records the
-        per-layer tensors needed by :meth:`backward`.
+        train mode samples fresh dropout masks from rng and caches what
+        :meth:`backward` reads: per layer (input, output, boolean keep mask).
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[-1] != self.in_dim:
@@ -210,16 +216,13 @@ class DenseNet:
         cache = [] if train else None
         h = x
         for spec, w, b in zip(self.specs, self.weights, self.biases):
-            pre = h @ np.swapaxes(w, -1, -2) + b[..., None, :]
-            act, _ = _ACTIVATIONS[spec.activation]
-            out = act(pre)
-            mask = None
-            if train and spec.dropout > 0:
-                mask = (rng.random(out.shape) >= spec.dropout) / (1.0 - spec.dropout)
+            out = h @ np.swapaxes(w, -1, -2)
+            out += b[..., None, :]
+            out = _ACTIVATIONS[spec.activation][0](out)
+            keep = rng.random(out.shape) >= spec.dropout if train and spec.dropout > 0 else None
             if train:
-                # out is cached pre-dropout; the mask is applied on the way out
-                cache.append((h, pre, out, mask))
-            h = out if mask is None else out * mask
+                cache.append((h, out, keep))
+            h = out if keep is None else out * (keep / (1.0 - spec.dropout))
         return h, cache
 
     def backward(self, cache, grad_out: np.ndarray, param_grads: bool = True):
@@ -236,11 +239,10 @@ class DenseNet:
         grad_w, grad_b = self._views(grads) if param_grads else (None, None)
         for idx in range(len(self.specs) - 1, -1, -1):
             spec = self.specs[idx]
-            h_in, pre, out, mask = cache[idx]
-            if mask is not None:
-                g = g * mask
-            _, act_grad = _ACTIVATIONS[spec.activation]
-            g_pre = g * act_grad(pre, out)
+            h_in, out, keep = cache[idx]
+            if keep is not None:
+                g = g * (keep / (1.0 - spec.dropout))
+            g_pre = g * _ACTIVATIONS[spec.activation][1](out)
             if param_grads:
                 np.matmul(np.swapaxes(g_pre, -1, -2), h_in, out=grad_w[idx])
                 g_pre.sum(axis=-2, out=grad_b[idx])

@@ -6,6 +6,7 @@ forwards, the evaluation lane, losses and checkpoint round trips."""
 import re
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covertsim import cli
-from covertsim.adversarial import GeneratorSpec, build_system
+from covertsim.adversarial import GeneratorSpec, build_system, generate_signal
 from covertsim.evaluation import evaluate_system
 from covertsim.neuralnet import (
+    _ACTIVATIONS,
     AdamState,
     DenseNet,
     Lane,
@@ -29,8 +31,8 @@ from covertsim.neuralnet import (
     row_blocks,
     save_checkpoint,
 )
-from covertsim.numerics import DomainError, RngStream
-from covertsim.scenarios import make_scenario
+from covertsim.numerics import DomainError, RngStream, sample_awgn, to_reim
+from covertsim.scenarios import get_preset, make_scenario
 
 
 def _small_net(dropout=0.0, out_act="linear"):
@@ -104,6 +106,77 @@ def test_sigmoid_saturation_is_stable():
     net.weights[0][:] = 1.0
     out, _ = net.forward(np.array([[-1000.0], [1000.0]]))
     np.testing.assert_allclose(out[:, 0], [0.0, 1.0], atol=1e-12)
+
+
+# the activations and their gradients as computed from the pre-activation,
+# before the train-mode cache dropped it
+_PRE_ACTIVATION_FORMULAS = {
+    "relu": (lambda pre: np.maximum(pre, 0.0),
+             lambda pre, out: (pre > 0).astype(float)),
+    "leaky-relu": (lambda pre: np.maximum(pre, 0.01 * pre),
+                   lambda pre, out: (pre > 0) * (1.0 - 0.01) + 0.01),
+    "sigmoid": (lambda pre: 0.5 * (1.0 + np.tanh(0.5 * pre)),
+                lambda pre, out: out * (1.0 - out)),
+    "tanh": (np.tanh, lambda pre, out: 1.0 - out ** 2),
+    "linear": (lambda pre: pre, lambda pre, out: np.ones_like(pre)),
+}
+
+_EDGE_VALUES = [0.0, -0.0, 1e-300, -1e-300, 1e3, -1e3, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=60, deadline=None)
+@given(act=st.sampled_from(sorted(_ACTIVATIONS)),
+       values=st.lists(st.one_of(st.sampled_from(_EDGE_VALUES), st.floats()),
+                       min_size=4, max_size=24),
+       dropout=st.sampled_from([0.0, 0.5]))
+def test_output_based_gradients_equal_the_pre_activation_formulas(act, values, dropout):
+    pre = np.array(values)
+    act_fn, grad_fn = _ACTIVATIONS[act]
+    old_act, old_grad = _PRE_ACTIVATION_FORMULAS[act]
+    with np.errstate(all="ignore"):
+        out = act_fn(pre.copy())
+        assert np.array_equal(out, old_act(pre), equal_nan=True)
+        assert np.array_equal(grad_fn(out), old_grad(pre, out), equal_nan=True)
+        # the in-place activations write only into fresh matmul outputs
+        net = DenseNet([LayerSpec(2, 2, act, dropout), LayerSpec(2, 2, act)], RngStream(0))
+        net.params[...] = np.linspace(-1.0, 1.0, net.params.size)
+        x = pre[:len(pre) // 2 * 2].reshape(-1, 2)
+        x_before, params_before = x.copy(), net.params.copy()
+        for train in (False, True):
+            net.forward(x, train=train, rng=np.random.default_rng(0))
+    assert np.array_equal(x, x_before, equal_nan=True)
+    assert np.array_equal(net.params, params_before)
+
+
+# ---------------------------------------------------------------------------
+# what a train-mode forward keeps
+# ---------------------------------------------------------------------------
+
+def _traced_held(fn):
+    """Bytes traced after fn returns, its result still held; numpy reports its
+    buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()  # noqa: F841 (held while the memory is read)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_train_mode_forward_keeps_inputs_outputs_and_boolean_masks():
+    # per layer the input, the output and a one-byte dropout mask: the
+    # pre-activation and a float mask took 7.9 kB per row of the generator's
+    # train-mode signals and 9.3 kB per row of a K=3 warden stack's forward
+    rows, gen = 2048, np.random.default_rng(0)
+    scen = get_preset("urban")
+    system = build_system(GeneratorSpec(), scen, RngStream(0))
+    m, z = system.draw(gen, rows)
+    held = _traced_held(lambda: generate_signal(system, m, z, train=True, rng=gen))
+    assert held / rows <= 5500
+    x = to_reim(sample_awgn(system.gen_spec.n, scen.warden_sigma2, gen, count=rows))
+    assert x.shape == (scen.k, rows, system.wardens.in_dim)
+    held = _traced_held(lambda: system.wardens.forward(x, train=True, rng=gen))
+    assert held / rows <= 5000
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +267,13 @@ def test_dropout_train_mode_masks_and_scales():
     net.weights[0][:] = 1.0
     gen = np.random.default_rng(0)
     _, cache = net.forward(np.ones((1, 1)), train=True, rng=gen)
-    h, pre, out, mask = cache[0]
-    kept = mask > 0
-    assert 0.4 < np.mean(kept) < 0.6
-    np.testing.assert_allclose(mask[kept], 2.0)  # inverted scaling 1/(1-p)
+    h_in, out, keep = cache[0]
+    assert keep.dtype == bool
+    assert 0.4 < np.mean(keep) < 0.6
+    # the next layer's input is the output, kept units scaled by 1/(1-p)
+    np.testing.assert_array_equal(out, 1.0)
+    np.testing.assert_allclose(cache[1][0][keep], 2.0)
+    np.testing.assert_array_equal(cache[1][0][~keep], 0.0)
 
 
 def test_dropout_train_mode_needs_rng():
