@@ -23,7 +23,6 @@ from .neuralnet import (
     _BLOCK,
     _EPS_CLAMP,
     adam_step,
-    bce_loss,
     mse_loss,
     row_blocks,
 )
@@ -290,10 +289,9 @@ def generator_loss(system: System, m, z, warden_taps, warden_noise,
         covert_terms = system.lambdas * -d1_means
         gp = np.broadcast_to(-lam[..., None] / batch, d1.shape)
     else:
-        pc = np.clip(p, _EPS_CLAMP, 1.0 - _EPS_CLAMP)
-        covert_terms = system.lambdas * np.mean(np.log(1.0 - pc), axis=-1)
-        gp = np.where((p > _EPS_CLAMP) & (p < 1.0 - _EPS_CLAMP),
-                      -lam / (1.0 - pc) / batch, 0.0)[..., None]
+        q = 1.0 - np.clip(p, _EPS_CLAMP, 1.0 - _EPS_CLAMP)
+        covert_terms = system.lambdas * np.mean(np.log(q), axis=-1)
+        gp = np.where((p > _EPS_CLAMP) & (p < 1.0 - _EPS_CLAMP), -lam / q / batch, 0.0)[..., None]
     covert = sum(covert_terms.tolist())
     # only the input gradient: the wardens are not updated by this loss
     _, gin = system.wardens.backward(dcache, gp, param_grads=False)
@@ -397,6 +395,7 @@ def warden_detection(system: System, gen: np.random.Generator, trials: int,
     energy = np.empty(trials)
     out1, ex = np.empty((scen.k, trials)), np.empty((scen.k, trials))
     out0 = np.empty((scen.k, calib))
+    discs = system.discriminators
     # noises are arguments, not names, so each is freed when its step ends
     with Lane() as lane:
         for rows in row_blocks(trials, _CHUNK):
@@ -404,12 +403,12 @@ def warden_detection(system: System, gen: np.random.Generator, trials: int,
             s = np.empty((count, n), dtype=complex)
             lane.run(_generate, system, *system.draw(gen, count), s, energy[rows])
             taps = sample_warden_taps(scen, count, gen)
-            for i, disc in enumerate(system.discriminators):
+            for i, disc in enumerate(discs):
                 lane.run(_detect_h1, disc, s, taps[i],
                          sample_awgn(n, variances[i], gen, count=count),
                          out1[i, rows], ex[i, rows])
         for rows in row_blocks(calib, _CHUNK):
-            for i, disc in enumerate(system.discriminators):
+            for i, disc in enumerate(discs):
                 lane.run(_detect_h0, disc,
                          sample_awgn(n, variances[i], gen, count=rows.stop - rows.start),
                          out0[i, rows])
@@ -515,12 +514,13 @@ def _disc_update(disc: DenseNet, adam: AdamState, y0: np.ndarray, y1: np.ndarray
         gout[..., b0:, :] = 1.0 / y1.shape[-2]
         value = np.mean(out[..., :b0, 0], axis=-1) - np.mean(out[..., b0:, 0], axis=-1)
     else:
-        labels = np.zeros_like(out)
-        labels[..., :b0, :] = 1.0
-        _, gout = bce_loss(out, labels)
-        p0 = np.clip(out[..., :b0, 0], _EPS_CLAMP, 1 - _EPS_CLAMP)
-        p1 = np.clip(out[..., b0:, 0], _EPS_CLAMP, 1 - _EPS_CLAMP)
-        value = np.mean(np.log(p0), axis=-1) + np.mean(np.log(1 - p1), axis=-1)
+        # one clamp gives the objective and the gradient of the mean cross
+        # entropy over all 2B rows, labels 1 on H0: bce_loss's, zero where clamped
+        p = np.clip(out, _EPS_CLAMP, 1 - _EPS_CLAMP)
+        p0, q1 = p[..., :b0, :], 1 - p[..., b0:, :]
+        value = np.mean(np.log(p0[..., 0]), axis=-1) + np.mean(np.log(q1[..., 0]), axis=-1)
+        gout = np.where((out > _EPS_CLAMP) & (out < 1 - _EPS_CLAMP),
+                        np.concatenate([-1.0 / p0, 1.0 / q1], axis=-2) / out.shape[-2], 0.0)
     grads, _ = disc.backward(cache, gout)
     names = [f"disc_{i}" for i in range(len(disc.params))]
     _require_finite(value, names, "discriminator loss", where)
@@ -547,8 +547,8 @@ def train(cfg: TrainConfig, scenario: ScenarioPreset, rng: RngStream,
         system = build_system(gen_spec, scenario, rng.child(0),
                               loss_mode=cfg.loss_mode,
                               train_snr_db=cfg.train_snr_db)
-    elif system.loss_mode != cfg.loss_mode:
-        raise DomainError("system loss mode does not match the training config")
+    elif (system.loss_mode, system.scenario) != (cfg.loss_mode, scenario):
+        raise DomainError("system loss mode or scenario does not match the training run")
     gen = rng.child(100).generator()
     log = TrainLog()
 

@@ -48,13 +48,6 @@ class ValidationError(ValueError):
     pass
 
 
-def _finite(raw: str) -> float:
-    """float(raw), refusing nan and inf, which no run can use."""
-    if not np.isfinite(value := float(raw)):
-        raise ValueError(f"not a finite number: {raw!r}")
-    return value
-
-
 @dataclass
 class RunConfig:
     """Everything a run needs, serializable to a sectioned key=value file."""
@@ -167,12 +160,12 @@ class RunConfig:
         typ = str(typ)
         if typ.startswith("tuple["):
             # only a wholly empty value is (), as in ``sigma2 =``; an empty entry is refused
-            item = _finite if typ.startswith("tuple[float") else int
+            item = float if typ.startswith("tuple[float") else int
             return tuple(item(v) for v in raw.split(",")) if raw else ()
         if typ == "int":
             return int(raw)
         if typ == "float":
-            return _finite(raw)
+            return float(raw)
         return raw
 
     # -- conversions to library objects --------------------------------------

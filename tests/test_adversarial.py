@@ -3,6 +3,8 @@ full-chain gradients through the channel, the Monte Carlo kernels
 against a serial run, the alternating loop, the wasserstein variant and
 the adaptive warden loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,7 @@ from covertsim.adversarial import (
 from covertsim.channel import propagate
 from covertsim.detection import pd_at_target_pf
 from covertsim.evaluation import NoiseInjectionTransmitter
-from covertsim.neuralnet import row_blocks
+from covertsim.neuralnet import DenseNet, adam_step, bce_loss, row_blocks
 from covertsim.numerics import DomainError, RngStream, from_reim, sample_awgn, to_reim
 from covertsim.scenarios import get_preset, make_scenario
 
@@ -367,6 +369,14 @@ def test_train_system_mode_mismatch():
         train(cfg, make_scenario(1), RngStream(0), system=system)
 
 
+def test_train_refuses_a_system_of_another_scenario():
+    # the wardens, lambdas and snapshots follow system.scenario, the draws
+    # follow the scenario argument: a K=1 scenario would feed three wardens
+    system = build_system(TINY_SPEC, get_preset("urban"), RngStream(0))
+    with pytest.raises(DomainError, match="scenario"):
+        train(TrainConfig(**TINY_CFG), make_scenario(1), RngStream(0), system=system)
+
+
 @pytest.mark.parametrize("net,message", [
     ("disc_1", "discriminator loss of disc_1 at warm-up step 1"),
     ("generator", "signal of generator at warm-up step 1"),
@@ -401,6 +411,39 @@ def test_disc_update_returns_the_warden_objective(loss_mode):
             expected = (np.mean(np.log(np.clip(c0[i], 1e-7, 1 - 1e-7)))
                         + np.mean(np.log(1 - np.clip(c1[i], 1e-7, 1 - 1e-7))))
         assert value[i] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("loss_mode", ["standard", "wasserstein"])
+def test_disc_update_equals_a_hand_taken_step(loss_mode):
+    wardens = build_system(TINY_SPEC, make_scenario(2), RngStream(0),
+                           loss_mode=loss_mode).wardens
+    # a large output layer saturates the sigmoid, so some verdicts are clamped
+    wardens.weights[-1][:] *= 40.0
+    gen = RngStream(1).generator()
+    y0, y1 = 2 * (gen.standard_normal((2, 2, 64, 8)) + 1j * gen.standard_normal((2, 2, 64, 8)))
+    adam = AdamState(wardens.params.shape, lr=1e-3)
+    _disc_update(wardens, adam, y0, y1, loss_mode, 0.05, RngStream(2).generator(), "test")
+    hand = DenseNet(wardens.specs, params=wardens.params.copy())
+    hand_adam = dataclasses.replace(adam, m=adam.m.copy(), v=adam.v.copy())
+    _disc_update(wardens, adam, y1, y0, loss_mode, 0.05, RngStream(3).generator(), "test")
+
+    out, cache = hand.forward(np.concatenate([to_reim(y1), to_reim(y0)], axis=-2),
+                              train=True, rng=RngStream(3).generator())
+    if loss_mode == "wasserstein":
+        gout = np.concatenate([np.full((2, 64, 1), -1.0 / 64), np.full((2, 64, 1), 1.0 / 64)],
+                              axis=-2)
+    else:
+        clamped = (out <= 1e-7) | (out >= 1 - 1e-7)
+        assert clamped.any() and not clamped.all()
+        labels = np.zeros_like(out)
+        labels[:, :64] = 1.0
+        gout = bce_loss(out, labels)[1]
+    adam_step(hand_adam, hand, hand.backward(cache, gout)[0])
+    if loss_mode == "wasserstein":
+        hand.clip_weights(0.05)
+        assert np.any(np.abs(hand.params) == 0.05)
+    for a, b in ((wardens.params, hand.params), (adam.m, hand_adam.m), (adam.v, hand_adam.v)):
+        assert np.array_equal(a, b)
 
 
 def test_snapshot_metrics_fields():
