@@ -169,21 +169,21 @@ def _mlp(dims: list[int], act: str, out_act: str, dropout: float = 0.0) -> list[
     return [*hidden, LayerSpec(dims[-2], dims[-1], out_act)]
 
 
+_HIDDEN = (64, 64, 64)  # the hidden widths of every warden and of Bob's decoder
+
+
 def build_system(gen_spec: GeneratorSpec, scenario: ScenarioPreset, rng: RngStream,
-                 loss_mode: str = "standard",
-                 disc_hidden: tuple[int, ...] = (64, 64, 64),
-                 dec_hidden: tuple[int, ...] = (64, 64, 64),
-                 train_snr_db: float = 20.0) -> System:
+                 loss_mode: str = "standard", train_snr_db: float = 20.0) -> System:
     """Construct generator, decoder and one discriminator per warden."""
     n2 = 2 * gen_spec.n
     generator = DenseNet(_mlp([gen_spec.message_bits + gen_spec.noise_dim, *gen_spec.hidden, n2],
                               "relu", "linear", gen_spec.dropout), rng.child(1))
     disc_out = "linear" if loss_mode == "wasserstein" else "sigmoid"
-    disc_layers = _mlp([n2, *disc_hidden, 1], "leaky-relu", disc_out)
+    disc_layers = _mlp([n2, *_HIDDEN, 1], "leaky-relu", disc_out)
     wardens = DenseNet.stack([DenseNet(disc_layers, rng.child(10 + i))
                               for i in range(scenario.k)])
     # decoder sees y_B plus Bob's (perfect-CSI) tap gains as re/im pairs
-    decoder = DenseNet(_mlp([n2 + 2 * scenario.n_taps, *dec_hidden, gen_spec.message_bits],
+    decoder = DenseNet(_mlp([n2 + 2 * scenario.n_taps, *_HIDDEN, gen_spec.message_bits],
                             "relu", "tanh"), rng.child(2))
     return System(generator, decoder, wardens, gen_spec, scenario,
                   snr_db_to_bob_sigma2(gen_spec.power, train_snr_db), loss_mode)
@@ -532,31 +532,23 @@ def _disc_update(disc: DenseNet, adam: AdamState, y0: np.ndarray, y1: np.ndarray
 
 
 def train(cfg: TrainConfig, scenario: ScenarioPreset, rng: RngStream,
-          gen_spec: GeneratorSpec | None = None,
-          system: System | None = None) -> tuple[System, TrainLog]:
-    """Run the alternating adversarial training loop.
+          gen_spec: GeneratorSpec | None = None) -> tuple[System, TrainLog]:
+    """Build the system the arguments describe and run the alternating loop.
 
     Per iteration: sample latents, per-warden channels and noises, take
     one ascent step per discriminator on fresh H0/H1 batches, then one
     descent step on the generator's composite loss (decoder updated on
-    the same pass). Fully deterministic given (cfg, scenario, rng).
+    the same pass). Fully deterministic given (cfg, scenario, rng, gen_spec).
     """
-    if gen_spec is None:
-        gen_spec = GeneratorSpec()
-    if system is None:
-        system = build_system(gen_spec, scenario, rng.child(0),
-                              loss_mode=cfg.loss_mode,
-                              train_snr_db=cfg.train_snr_db)
-    elif (system.loss_mode, system.scenario) != (cfg.loss_mode, scenario):
-        raise DomainError("system loss mode or scenario does not match the training run")
+    spec = gen_spec or GeneratorSpec()
+    system = build_system(spec, scenario, rng.child(0),
+                          loss_mode=cfg.loss_mode, train_snr_db=cfg.train_snr_db)
     gen = rng.child(100).generator()
     log = TrainLog()
 
     adam_g = AdamState(system.generator.param_count(), lr=cfg.lr)
     adam_dec = AdamState(system.decoder.param_count(), lr=cfg.lr)
     adam_d = AdamState(system.wardens.params.shape, lr=cfg.lr)
-
-    spec = system.gen_spec
 
     def disc_round(where: str):
         """Draw one round and take the discriminators' ascent step on it."""

@@ -103,6 +103,8 @@ class RunConfig:
                 raise ValidationError(f"{key}: must be finite, got {val}")
         if self.scenario == "custom" and self.k < 1:
             raise ValidationError("K: custom scenarios need K >= 1")
+        if self.scenario != "custom" and (self.k, self.sigma2) != (0, ()):
+            raise ValidationError(f"{'k' if self.k else 'sigma2'}: read only for scenario = custom")
         for section, build in (("scenario", self.scenario_preset),
                                ("generator", self.generator_spec),
                                ("train", self.train_config)):

@@ -285,15 +285,13 @@ class AdamState:
     beta1: float = 0.5
     beta2: float = 0.999
     epsilon: float = 1e-8
-    step_count: int = 0
-    m: np.ndarray = field(default=None)
-    v: np.ndarray = field(default=None)
+    step_count: int = field(default=0, init=False)
+    m: np.ndarray = field(init=False)
+    v: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.m is None:
-            self.m = np.zeros(self.dim)
-        if self.v is None:
-            self.v = np.zeros(self.dim)
+        self.m = np.zeros(self.dim)
+        self.v = np.zeros(self.dim)
 
     def update(self, params: np.ndarray, grads: np.ndarray) -> None:
         """Take one step on params in place."""

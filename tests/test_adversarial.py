@@ -3,13 +3,14 @@ full-chain gradients through the channel, the Monte Carlo kernels
 against a serial run, the alternating loop, the wasserstein variant and
 the adaptive warden loop."""
 
-import dataclasses
+import copy
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covertsim import adversarial
 from covertsim.adversarial import (
     AdamState,
     GeneratorSpec,
@@ -291,8 +292,7 @@ def test_correlated_wardens_share_fading():
 
 def test_generator_loss_gradients_finite_differences():
     scen = make_scenario(2, [0.5, 1.5], n_taps=2)
-    system = build_system(TINY_SPEC, scen, RngStream(5), disc_hidden=(12,),
-                          dec_hidden=(12,))
+    system = build_system(TINY_SPEC, scen, RngStream(5))
     gen = RngStream(6).generator()
     batch = 3
     m = np.sign(gen.standard_normal((batch, 4)) + 1e-12)
@@ -362,33 +362,34 @@ def test_train_seeds_differ():
     assert not np.allclose(sys_a.generator.get_flat(), sys_b.generator.get_flat())
 
 
-def test_train_system_mode_mismatch():
-    system = build_system(TINY_SPEC, make_scenario(1), RngStream(0))
-    cfg = TrainConfig(loss_mode="wasserstein", **TINY_CFG)
-    with pytest.raises(DomainError):
-        train(cfg, make_scenario(1), RngStream(0), system=system)
-
-
-def test_train_refuses_a_system_of_another_scenario():
-    # the wardens, lambdas and snapshots follow system.scenario, the draws
-    # follow the scenario argument: a K=1 scenario would feed three wardens
-    system = build_system(TINY_SPEC, get_preset("urban"), RngStream(0))
-    with pytest.raises(DomainError, match="scenario"):
-        train(TrainConfig(**TINY_CFG), make_scenario(1), RngStream(0), system=system)
-
-
 @pytest.mark.parametrize("net,message", [
     ("disc_1", "discriminator loss of disc_1 at warm-up step 1"),
     ("generator", "signal of generator at warm-up step 1"),
     ("decoder", "decode MSE of decoder at iteration 1"),
 ])
-def test_non_finite_net_is_named(net, message):
-    scen = make_scenario(3)
-    system = build_system(TINY_SPEC, scen, RngStream(0))
-    target = system.discriminators[1] if net == "disc_1" else getattr(system, net)
-    target.weights[0][0, 0] = np.nan
+def test_non_finite_net_is_named(net, message, monkeypatch):
+    def poisoned_system(*args, **kwargs):
+        system = build_system(*args, **kwargs)
+        target = system.discriminators[1] if net == "disc_1" else getattr(system, net)
+        target.weights[0][0, 0] = np.nan
+        return system
+
+    monkeypatch.setattr(adversarial, "build_system", poisoned_system)
     with pytest.raises(RuntimeError, match=message):
-        train(TrainConfig(**TINY_CFG), scen, RngStream(0), system=system)
+        train(TrainConfig(**TINY_CFG), make_scenario(3), RngStream(0), gen_spec=TINY_SPEC)
+
+
+def test_non_finite_generator_loss_is_reported(monkeypatch):
+    # a finite MSE passes its own check, so the loss check is the first to fire
+    def nan_loss(*args, **kwargs):
+        _, _, mse, *rest = generator_loss(*args, **kwargs)
+        return np.nan, np.nan, mse, *rest
+
+    monkeypatch.setattr(adversarial, "generator_loss", nan_loss)
+    with pytest.raises(RuntimeError, match=r"non-finite generator loss at iteration 1: "
+                                           r"covert=nan mse=\S+ disc=\[") as info:
+        train(TrainConfig(**TINY_CFG), make_scenario(2), RngStream(0), gen_spec=TINY_SPEC)
+    assert "mse=nan" not in str(info.value)
 
 
 @pytest.mark.parametrize("loss_mode", ["standard", "wasserstein"])
@@ -424,7 +425,7 @@ def test_disc_update_equals_a_hand_taken_step(loss_mode):
     adam = AdamState(wardens.params.shape, lr=1e-3)
     _disc_update(wardens, adam, y0, y1, loss_mode, 0.05, RngStream(2).generator(), "test")
     hand = DenseNet(wardens.specs, params=wardens.params.copy())
-    hand_adam = dataclasses.replace(adam, m=adam.m.copy(), v=adam.v.copy())
+    hand_adam = copy.deepcopy(adam)
     _disc_update(wardens, adam, y1, y0, loss_mode, 0.05, RngStream(3).generator(), "test")
 
     out, cache = hand.forward(np.concatenate([to_reim(y1), to_reim(y0)], axis=-2),

@@ -103,6 +103,8 @@ def test_power_dbm_to_linear():
     ({"rho": 1.5}, "rho"),
     ({"hidden": (64, 0)}, "hidden"),
     ({"n": 2, "message_bits": 2}, "n_taps"),
+    ({"k": 5, "sigma2": (0.1, 0.2, 0.3, 0.4, 0.5)}, "k: read only for scenario = custom"),
+    ({"scenario": "military", "sigma2": (0.1,)}, "sigma2: read only for scenario = custom"),
 ])
 def test_validate_names_offending_field(overrides, needle):
     cfg = RunConfig(**overrides)
@@ -124,6 +126,7 @@ def test_validate_names_offending_field(overrides, needle):
     ("[eval]\neval_snr_db = nan\n", "eval_snr_db: must be finite"),
     ("[generator]\npower_dbm = inf\n", "power_dbm: must be finite"),
     ("[scenario]\nsigma2 = 0.5,nan\n", "sigma2: must be finite"),
+    ("[scenario]\nscenario = urban\nk = 5\n", "k: read only for scenario = custom"),
 ])
 def test_load_rejects_unknown_or_unparsable_keys(tmp_path, text, needle):
     path = tmp_path / "run.cfg"

@@ -136,7 +136,7 @@ def test_evaluation_memory_does_not_grow_with_the_draws(kernel):
     # at a time; BER by nothing
     spec = GeneratorSpec(message_bits=4, noise_dim=4, n=32, power=4.0, hidden=(16, 16))
     scen = get_preset("urban")
-    system = build_system(spec, scen, RngStream(0), disc_hidden=(16,), dec_hidden=(16,))
+    system = build_system(spec, scen, RngStream(0))
     if kernel == "detection":
         run, bytes_per_trial = (lambda t: measure_detection(system, t, RngStream(1)),
                                 40 * scen.k + 100)
