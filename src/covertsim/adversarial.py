@@ -44,8 +44,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.message_bits < 1 or self.noise_dim < 1 or self.n < 1:
             raise DomainError("message_bits, noise_dim and n must be positive")
-        if self.power <= 0:
-            raise DomainError(f"power budget must be > 0, got {self.power}")
+        if not 0.0 < self.power < np.inf:
+            raise DomainError(f"power budget must be positive and finite, got {self.power}")
         if not (0.0 <= self.dropout < 1.0):
             raise DomainError(f"dropout must be in [0,1), got {self.dropout}")
         if any(width < 1 for width in self.hidden):
@@ -71,14 +71,14 @@ class TrainConfig:
             raise DomainError("iterations and batch must be >= 1")
         if self.loss_mode not in ("standard", "wasserstein"):
             raise DomainError(f"unknown loss mode {self.loss_mode!r}")
-        if self.loss_mode == "wasserstein" and self.clip <= 0:
-            raise DomainError("wasserstein mode needs a positive clip bound")
+        if self.loss_mode == "wasserstein" and not 0.0 < self.clip < np.inf:
+            raise DomainError("wasserstein mode needs a positive finite clip bound")
         if not (0.0 < self.target_pf < 1.0):
             raise DomainError(f"target_pf must be in (0,1), got {self.target_pf}")
-        if self.lr <= 0:
-            raise DomainError(f"lr must be > 0, got {self.lr}")
-        if self.mu < 0:
-            raise DomainError(f"mu must be >= 0, got {self.mu}")
+        if not 0.0 < self.lr < np.inf:
+            raise DomainError(f"lr must be positive and finite, got {self.lr}")
+        if not 0.0 <= self.mu < np.inf:
+            raise DomainError(f"mu must be >= 0 and finite, got {self.mu}")
         if self.disc_warmup < 0:
             raise DomainError(f"disc_warmup must be >= 0, got {self.disc_warmup}")
         if self.snapshot_every < 0:
@@ -146,9 +146,23 @@ class System:
         return self.decoder.forward(decoder_input(y_b, bob_taps))[0]
 
 
+def db_to_linear(db: float) -> float:
+    """10^(db/10); a DomainError unless that is positive and finite."""
+    try:
+        linear = 10.0 ** (db / 10.0)
+    except OverflowError:
+        linear = np.inf
+    if not 0.0 < linear < np.inf:
+        raise DomainError(f"{db} dB is {linear} in linear units, not positive and finite")
+    return linear
+
+
 def snr_db_to_bob_sigma2(power: float, snr_db: float) -> float:
-    """SNR at Bob is defined as P / sigma_B^2."""
-    return power / (10.0 ** (snr_db / 10.0))
+    """SNR at Bob is defined as P / sigma_B^2, which must be positive and finite."""
+    sigma2 = power / db_to_linear(snr_db)
+    if not 0.0 < sigma2 < np.inf:
+        raise DomainError(f"Bob's noise variance at {snr_db} dB SNR is {sigma2}, out of range")
+    return sigma2
 
 
 def decoder_input(y_b: np.ndarray, bob_taps: np.ndarray) -> np.ndarray:

@@ -33,6 +33,8 @@ from .adversarial import (
     TrainConfig,
     TrainLog,
     build_system,
+    db_to_linear,
+    snr_db_to_bob_sigma2,
     train,
 )
 from .neuralnet import DenseNet, StateError, load_checkpoint, save_checkpoint
@@ -93,7 +95,7 @@ class RunConfig:
 
     @property
     def power_linear(self) -> float:
-        return 10.0 ** (self.power_dbm / 10.0)
+        return db_to_linear(self.power_dbm)
 
     def validate(self) -> None:
         """Raise ValidationError naming the first field the run cannot use."""
@@ -105,6 +107,13 @@ class RunConfig:
             raise ValidationError("K: custom scenarios need K >= 1")
         if self.scenario != "custom" and (self.k, self.sigma2) != (0, ()):
             raise ValidationError(f"{'k' if self.k else 'sigma2'}: read only for scenario = custom")
+        for key in ("power_dbm", "train_snr_db", "eval_snr_db"):
+            try:
+                power = self.power_linear
+                if key != "power_dbm":
+                    snr_db_to_bob_sigma2(power, getattr(self, key))
+            except DomainError as exc:
+                raise ValidationError(f"{key}: {exc}") from None
         for section, build in (("scenario", self.scenario_preset),
                                ("generator", self.generator_spec),
                                ("train", self.train_config)):
@@ -413,47 +422,41 @@ def _map_seeds(fn, seeds: list[int]) -> list:
 
 
 @functools.cache
-def _source_digest() -> str:
-    """sha256 of this package's source files."""
+def _program_digest() -> str:
+    """16 hex digits of a sha256 over numpy's version and this package's sources."""
     files = sorted(Path(__file__).parent.glob("*.py"))
-    return hashlib.sha256(b"".join(f.name.encode() + f.read_bytes() for f in files)).hexdigest()
+    blob = b"".join(f.name.encode() + f.read_bytes() for f in files)
+    return hashlib.sha256(np.__version__.encode() + blob).hexdigest()[:16]
 
 
 def _training_key(cfg: TrainConfig, scen, rng: RngStream, spec: GeneratorSpec) -> dict:
-    """Everything ``train`` reads, so a changed config or program gets a new key."""
+    """Everything ``train`` reads besides the program, so a changed config gets a new key."""
     return {"train": dataclasses.asdict(cfg), "scenario": dataclasses.asdict(scen),
-            "generator": dataclasses.asdict(spec), "rng": [rng.seed, rng.stream_id],
-            "numpy": np.__version__, "source": _source_digest()}
+            "generator": dataclasses.asdict(spec), "rng": [rng.seed, rng.stream_id]}
 
 
 def _cached_train(store: Path, cfg: TrainConfig, scen: scenarios.ScenarioPreset,
                   rng: RngStream, gen_spec: GeneratorSpec) -> tuple[System, TrainLog]:
-    """``train``, kept as ``store/<sha256 of its key>.npz`` and loaded from there."""
-    key = _training_key(cfg, scen, rng, gen_spec)
-    path = store / f"{hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()}.npz"
+    """``train``, kept as ``store/<program>-<sha256 of its key>.npz`` and loaded from there."""
+    key = json.dumps(_training_key(cfg, scen, rng, gen_spec), sort_keys=True)
+    path = store / f"{_program_digest()}-{hashlib.sha256(key.encode()).hexdigest()}.npz"
     try:
         nets, header = load_checkpoint(path)
     except (OSError, StateError):
         # a missing or unreadable entry is trained again
         system, log = train(cfg, scen, rng, gen_spec=gen_spec)
         store.mkdir(parents=True, exist_ok=True)
-        _save(path, system, {"key": key, "log": dataclasses.asdict(log)})
+        _save(path, system, {"log": dataclasses.asdict(log)})
         return system, log
     return _load_system(nets, gen_spec, scen, cfg), TrainLog(**header["extra"]["log"])
 
 
 def _prune_store(store: Path) -> None:
-    """Delete each ``<sha256>.npz`` in store whose key names another source
-    digest or numpy version, which no later key can match. Every other file
-    stays, the ``<name>.<pid>.npz`` a concurrent ``_save`` writes included."""
+    """Delete, unopened, each entry in store named by another program or by none,
+    which no run can load. Other files stay, a concurrent ``_save``'s temporary too."""
     for path in store.glob("*.npz"):
-        if not re.fullmatch("[0-9a-f]{64}", path.stem):
-            continue
-        try:
-            key = load_checkpoint(path)[1]["extra"]["key"]
-        except (OSError, StateError, KeyError, TypeError):
-            continue
-        if (key.get("source"), key.get("numpy")) != (_source_digest(), np.__version__):
+        if (re.fullmatch("([0-9a-f]{16}-)?[0-9a-f]{64}", path.stem)
+                and not path.stem.startswith(f"{_program_digest()}-")):
             path.unlink(missing_ok=True)
 
 

@@ -53,8 +53,9 @@ TINY_CFG = dict(iterations=15, batch=8, lr=1e-3, disc_warmup=5,
 def test_generator_spec_validation():
     with pytest.raises(DomainError):
         GeneratorSpec(message_bits=0)
-    with pytest.raises(DomainError):
-        GeneratorSpec(power=0.0)
+    for power in (0.0, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            GeneratorSpec(power=power)
 
 
 def test_train_config_validation():
@@ -64,11 +65,21 @@ def test_train_config_validation():
         TrainConfig(loss_mode="hinge")
     with pytest.raises(DomainError):
         TrainConfig(loss_mode="wasserstein", clip=0.0)
+    for bad in ({"lr": np.nan}, {"lr": np.inf}, {"mu": np.nan}, {"mu": np.inf},
+                {"loss_mode": "wasserstein", "clip": np.nan},
+                {"loss_mode": "wasserstein", "clip": np.inf}):
+        with pytest.raises(DomainError):
+            TrainConfig(**bad)
 
 
 def test_snr_conversion():
     assert snr_db_to_bob_sigma2(10.0, 20.0) == pytest.approx(0.1)
     assert snr_db_to_bob_sigma2(10.0, 0.0) == pytest.approx(10.0)
+    # a linear SNR, or Bob's noise variance, outside the positive finite floats
+    for power, snr_db in ((10.0, 4000.0), (10.0, -4000.0), (10.0, np.nan),
+                          (1e300, -100.0), (1e-300, 300.0)):
+        with pytest.raises(DomainError):
+            snr_db_to_bob_sigma2(power, snr_db)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import dataclasses
 import functools
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -105,6 +107,9 @@ def test_power_dbm_to_linear():
     ({"n": 2, "message_bits": 2}, "n_taps"),
     ({"k": 5, "sigma2": (0.1, 0.2, 0.3, 0.4, 0.5)}, "k: read only for scenario = custom"),
     ({"scenario": "military", "sigma2": (0.1,)}, "sigma2: read only for scenario = custom"),
+    *(({key: sign * 4000.0}, f"^{key}: ") for key in ("power_dbm", "train_snr_db", "eval_snr_db")
+      for sign in (1, -1)),
+    ({"power_dbm": 3000.0, "train_snr_db": -100.0}, "^train_snr_db: Bob's noise variance"),
 ])
 def test_validate_names_offending_field(overrides, needle):
     cfg = RunConfig(**overrides)
@@ -517,9 +522,12 @@ def test_changed_seed_stream_or_source_misses_the_store(tmp_path, monkeypatch):
         np.testing.assert_array_equal(cli._nets(stored)[name].params, net.params)
     run(RngStream(4))
     run(RngStream(3, 1))
-    monkeypatch.setattr(cli, "_source_digest", lambda: "edited")
+    monkeypatch.setattr(cli, "_program_digest", lambda: "0" * 16)
     run(RngStream(3))
     assert len(calls) == 4 and len(list(tmp_path.iterdir())) == 4
+    # each entry is named by the program and the inputs that made it
+    assert all(re.fullmatch("[0-9a-f]{16}-[0-9a-f]{64}", p.stem) for p in tmp_path.iterdir())
+    assert len({p.stem[17:] for p in tmp_path.iterdir()}) == 3
 
 
 def test_a_truncated_entry_is_trained_again(tmp_path, monkeypatch):
@@ -563,19 +571,33 @@ def test_a_sweep_prunes_only_the_entries_of_another_source_or_numpy(tmp_path, mo
     out = tmp_path / "runs"
     args = ["sweep", "csr-vs-epochs", "--config", str(path), "--out", str(out)]
     assert main(args) == EXIT_OK
-    current, = (out / "trained").iterdir()
-    nets, header = neuralnet.load_checkpoint(current)
-    for name, changed in (("a" * 64, {"source": "0" * 64}), ("b" * 64, {"numpy": "1.0.0"})):
-        key = {**header["extra"]["key"], **changed}
-        neuralnet.save_checkpoint(out / "trained" / f"{name}.npz", nets,
-                                  extra={**header["extra"], "key": key})
+    store = out / "trained"
+    current, = store.iterdir()
+    inputs = current.stem[17:]
+    # another program's entry, a legacy entry named by its inputs alone, and
+    # an unreadable entry of another program go
+    for name in (f"{'0' * 16}-{inputs}", inputs):
+        shutil.copy(current, store / f"{name}.npz")
+    (store / f"{'f' * 16}-{'a' * 64}.npz").write_bytes(b"truncated")
     # a concurrent save's temporary and a file that is no entry stay
-    kept = {current.name, f"{'a' * 64}.123.npz", "notes.npz"}
+    kept = {current.name, f"{current.stem}.123.npz", "notes.npz"}
     for name in kept - {current.name}:
-        (out / "trained" / name).write_bytes((out / "trained" / f"{'a' * 64}.npz").read_bytes())
+        shutil.copy(current, store / name)
+    prune = cli._prune_store
+
+    def by_name(store):
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "load_checkpoint", _refuse_to_open)
+            prune(store)
+
+    monkeypatch.setattr(cli, "_prune_store", by_name)
     calls = _count_trainings(monkeypatch)
     assert main(args) == EXIT_OK
-    assert calls == [] and {p.name for p in (out / "trained").iterdir()} == kept
+    assert calls == [] and {p.name for p in store.iterdir()} == kept
+
+
+def _refuse_to_open(path):
+    raise AssertionError(f"the prune opened {path}")
 
 
 # run as a fresh interpreter in which every scipy import, a lazy one too, fails
@@ -623,7 +645,7 @@ def _stored_training(tmp_path):
 def test_eval_refuses_a_stored_training(tmp_path, capsys):
     entry, path, out = _stored_training(tmp_path)
     assert main(["eval", str(entry), "--out", str(out)]) == EXIT_VALIDATION
-    assert "no run config, only ['key', 'log']" in capsys.readouterr().err
+    assert "no run config, only ['log']" in capsys.readouterr().err
     # the sweep trained urban's three wardens, not the config's two
     assert main(["eval", str(entry), "--config", str(path), "--out", str(out)]) == EXIT_VALIDATION
     assert ("checkpoint has nets ['decoder', 'disc_0', 'disc_1', 'disc_2', 'generator'] "
@@ -678,6 +700,12 @@ def test_exit_codes_for_bad_inputs(tmp_path):
         _, path = _tiny_config(tmp_path, **bad)
         assert main(["train", "--config", str(path),
                      "--out", str(tmp_path)]) == EXIT_VALIDATION
+    # so are dB values whose linear values overflow or vanish
+    for key in ("power_dbm", "train_snr_db", "eval_snr_db"):
+        for value in (4000.0, -4000.0):
+            _, path = _tiny_config(tmp_path, **{key: value})
+            assert main(["train", "--config", str(path),
+                         "--out", str(tmp_path)]) == EXIT_VALIDATION
     # --trials is validated like the config's trials, before any checkpoint is read
     _, path = _tiny_config(tmp_path)
     for trials in ("50", "0"):
